@@ -1,6 +1,7 @@
-"""Analytic block-size engine (paper Sec. IV) and empirical auto-tuning."""
+"""Analytic block-size engine (paper Sec. IV).
 
-from repro.blocking.autotune import TuneResult, autotune, best_blocking
+The empirical search over these block sizes is :mod:`repro.tune`.
+"""
 
 from repro.blocking.cache_blocking import (
     CacheBlocking,
@@ -22,9 +23,6 @@ from repro.blocking.register_blocking import (
 )
 
 __all__ = [
-    "autotune",
-    "best_blocking",
-    "TuneResult",
     "RegisterBlocking",
     "RegisterBlockingProblem",
     "CacheBlocking",

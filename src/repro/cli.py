@@ -39,6 +39,7 @@ from repro.analysis.report import format_series, format_table
 from repro.arch.presets import XGENE, get_preset, preset_names
 from repro.blocking.cache_blocking import solve_cache_blocking
 from repro.blocking.register_blocking import RegisterBlockingProblem
+from repro.engines import TIMED_ENGINES
 from repro.errors import ReproError
 from repro.kernels.variants import VARIANTS, get_variant
 from repro.obs import MetricsRegistry, RunReport
@@ -1158,7 +1159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kc", type=int, default=None)
     p.add_argument("--hw-late", type=float, default=0.25)
     p.add_argument("--engine", default="both",
-                   choices=["both", "auto", "compiled", "interpreted"],
+                   choices=["both", *TIMED_ENGINES],
                    help="run both engines and cross-check (default), or "
                         "a single one; 'auto' reports its fallback reason")
     p.add_argument("--seed", type=int, default=0,

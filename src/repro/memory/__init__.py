@@ -35,6 +35,7 @@ from repro.memory.trace import (
     TraceCost,
     contiguous_trace,
     run_trace,
+    run_trace_levels,
     strided_matrix_trace,
 )
 
@@ -58,6 +59,7 @@ __all__ = [
     "Access",
     "TraceCost",
     "run_trace",
+    "run_trace_levels",
     "contiguous_trace",
     "strided_matrix_trace",
     "SetPolicy",

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import random
 import weakref
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from repro.memory.tlb import Tlb
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.memory.batch import BatchTrace
     from repro.memory.trace import TraceCost
+
+#: Per-level slots of a :class:`~repro.memory.trace.TraceCost`; levels
+#: beyond the last slot (none on the modeled chips) fold into it.
+LEVEL_SLOTS = 8
 
 
 @dataclass
@@ -94,6 +98,13 @@ class MemoryHierarchy:
         )
         self.dram_accesses = 0
         self.dram_line_bytes = chip.l1d.line_bytes
+        # Load-to-use latency by served level (index 0 unused, last = DRAM).
+        self._latency_of = np.array(
+            [0]
+            + [p.latency_cycles for p in chip.cache_levels]
+            + [chip.dram.latency_cycles],
+            dtype=np.int64,
+        )
         self.tlbs: List[Optional[Tlb]] = [
             Tlb(chip.tlb) if (with_tlb and chip.tlb) else None
             for _ in range(chip.cores)
@@ -204,43 +215,32 @@ class MemoryHierarchy:
 
     # -- batched replay -----------------------------------------------------
 
-    def run_batch(
-        self,
-        core: int,
-        trace: "BatchTrace",
-        max_level: int = 8,
-        force_scalar: bool = False,
-    ) -> "TraceCost":
-        """Replay a :class:`~repro.memory.batch.BatchTrace` on ``core``.
+    def _walk(
+        self, core: int, trace: "BatchTrace"
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The level-wise walk behind :meth:`run_batch` and
+        :meth:`run_batch_levels`.
 
-        Produces bit-identical counters (per-level :class:`CacheStats`,
-        ``dram_accesses``, TLB stats) and an identical
-        :class:`~repro.memory.trace.TraceCost` to scalar
-        :func:`~repro.memory.trace.run_trace` over the same records.
+        Returns ``(served, tlb_penalty)``, one entry per *demand* line
+        access in program order: the 1-based level that served it
+        (``len(levels)+1`` = DRAM) and its TLB-miss penalty in cycles
+        (``None`` when the core has no TLB).
 
-        The walk is level-wise: the whole batch is resolved against the L1
-        in one vectorized sweep, then only the miss subset — merged, in
-        program order, with software prefetches targeting the next level —
-        propagates downward. The decomposition is exact because each
-        cache's state depends only on its own access sequence, which the
-        per-level subsets preserve. Write-through levels propagate stores
-        that hit them outward as an *injected* store subset, merged with
-        the walking miss subset in program order — the batched mirror of
-        the scalar propagation chain. RANDOM/PLRU levels are handled per
-        cache inside :meth:`Cache.access_lines_batched`;
-        ``force_scalar=True`` takes the scalar oracle path.
+        The whole batch is resolved against the L1 in one vectorized
+        sweep, then only the miss subset — merged, in program order, with
+        software prefetches targeting the next level — propagates
+        downward. The decomposition is exact because each cache's state
+        depends only on its own access sequence, which the per-level
+        subsets preserve. Write-through levels propagate stores that hit
+        them outward as an *injected* store subset, merged with the
+        walking miss subset in program order — the batched mirror of the
+        scalar propagation chain. RANDOM/PLRU levels are handled per cache
+        inside :meth:`Cache.access_lines_batched`.
         """
-        from repro.memory.trace import TraceCost, run_trace
-
         levels = self.levels_for(core)
         level_params = self.chip.cache_levels
-        if force_scalar:
-            return run_trace(self, core, trace, max_level)
         lb = self.dram_line_bytes
         lines, kinds, plevels = trace.expand_lines(lb)
-        cost = TraceCost(level_hits=[0] * max_level)
-        if lines.size == 0:
-            return cost
         is_prefetch = kinds == CODE_PREFETCH
         if is_prefetch.any():
             targets = plevels[is_prefetch]
@@ -251,17 +251,20 @@ class MemoryHierarchy:
                     f"out of range"
                 )
         demand = ~is_prefetch
-        cost.accesses = int(demand.sum())
-        latency = 0
         # The TLB sees every demand access in program order, independently
         # of which cache level serves it, so it can be replayed up front.
+        tlb_penalty = None
         tlb = self.tlbs[core]
         if tlb is not None:
-            tlb_misses = 0
-            for line in lines[demand]:
-                if not tlb.access_line(int(line), lb):
-                    tlb_misses += 1
-            latency += tlb_misses * tlb.params.miss_penalty_cycles
+            demand_lines = lines[demand].tolist()
+            tlb_penalty = np.zeros(len(demand_lines), dtype=np.int64)
+            penalty = tlb.params.miss_penalty_cycles
+            for i, line in enumerate(demand_lines):
+                if not tlb.access_line(line, lb):
+                    tlb_penalty[i] = penalty
+        # Served levels fit a byte: a narrow array keeps the walk's peak
+        # memory low on long traces.
+        served_at = np.zeros(lines.size, dtype=np.int8)
         active = np.flatnonzero(demand | (plevels == 1))
         inject = np.empty(0, dtype=np.int64)
         is_store = kinds == CODE_STORE
@@ -292,53 +295,71 @@ class MemoryHierarchy:
                 walk_idx, walk_hits = merged, hits
             else:
                 walk_idx, walk_hits = merged[from_walk], hits[from_walk]
-            hit_demand = int(demand[walk_idx[walk_hits]].sum())
-            if hit_demand:
-                cost.level_hits[min(depth - 1, max_level - 1)] += hit_demand
-                latency += hit_demand * level_params[depth - 1].latency_cycles
+            served_at[walk_idx[walk_hits]] = depth
             # Write-through: stores served here start propagating, and
             # already-injected stores keep chaining — both regardless of
             # the propagated access's own outcome (the scalar chain is
             # gated on the levels' write policies, not on hit results).
-            wt = (
-                level_params[depth - 1].write_policy
-                is WritePolicy.WRITE_THROUGH
-            )
-            if wt:
+            wt = level_params[depth - 1].write_policy
+            if wt is WritePolicy.WRITE_THROUGH:
                 stores_hit = walk_idx[walk_hits & is_store[walk_idx]]
-                next_inject = (
+                inject = (
                     np.sort(np.concatenate([stores_hit, inject]))
                     if inject.size
                     else stores_hit
                 )
                 if depth == len(levels):
-                    self.dram_accesses += int(next_inject.size)
-                    next_inject = np.empty(0, dtype=np.int64)
+                    self.dram_accesses += int(inject.size)
+                    inject = np.empty(0, dtype=np.int64)
             else:
-                next_inject = np.empty(0, dtype=np.int64)
-            inject = next_inject
+                inject = np.empty(0, dtype=np.int64)
             # Misses — demand walks on; prefetches install level by level
             # until they find the line resident (the scalar break).
             active = walk_idx[~walk_hits]
-        to_dram = int(demand[active].sum())
-        if to_dram:
-            self.dram_accesses += to_dram
-            cost.level_hits[min(len(levels), max_level - 1)] += to_dram
-            latency += to_dram * self.chip.dram.latency_cycles
-        cost.latency_cycles = latency
+        dram_idx = active[demand[active]]
+        self.dram_accesses += int(dram_idx.size)
+        served_at[dram_idx] = len(levels) + 1
+        return served_at[demand], tlb_penalty
+
+    def _count_replay(self, accesses: int, to_dram: int, latency: int) -> None:
         m = self.metrics
-        if m is not None:
-            m.inc("hierarchy.batched_replays")
-            m.inc("hierarchy.demand_line_accesses", cost.accesses)
-            m.inc("hierarchy.dram_line_accesses", to_dram)
-            m.inc("hierarchy.latency_cycles", latency)
-        return cost
+        m.inc("hierarchy.batched_replays")
+        m.inc("hierarchy.demand_line_accesses", accesses)
+        m.inc("hierarchy.dram_line_accesses", to_dram)
+        m.inc("hierarchy.latency_cycles", latency)
+
+    def run_batch(self, core: int, trace: "BatchTrace") -> "TraceCost":
+        """Replay a :class:`~repro.memory.batch.BatchTrace` on ``core``.
+
+        Produces bit-identical counters (per-level :class:`CacheStats`,
+        ``dram_accesses``, TLB stats) and an identical
+        :class:`~repro.memory.trace.TraceCost` to scalar
+        :func:`~repro.memory.trace.run_trace` over the same records:
+        per-level serve counts folded into :data:`LEVEL_SLOTS` slots and
+        the summed latency.
+        """
+        from repro.memory.trace import TraceCost
+
+        served, tlb_penalty = self._walk(core, trace)
+        dram_level = len(self._latency_of) - 1
+        counts = np.bincount(served, minlength=dram_level + 1)
+        level_hits = [0] * LEVEL_SLOTS
+        for level in range(1, dram_level + 1):
+            level_hits[min(level, LEVEL_SLOTS) - 1] += int(counts[level])
+        latency = int(counts @ self._latency_of)
+        if tlb_penalty is not None:
+            latency += int(tlb_penalty.sum())
+        # A trace that touches no line is not counted as a replay here.
+        if self.metrics is not None and trace.line_count(self.dram_line_bytes):
+            self._count_replay(served.size, int(counts[dram_level]), latency)
+        return TraceCost(
+            accesses=int(served.size),
+            latency_cycles=latency,
+            level_hits=level_hits,
+        )
 
     def run_batch_levels(
-        self,
-        core: int,
-        trace: "BatchTrace",
-        force_scalar: bool = False,
+        self, core: int, trace: "BatchTrace"
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Replay a trace like :meth:`run_batch`, returning per-access detail.
 
@@ -346,115 +367,23 @@ class MemoryHierarchy:
         line access of ``trace`` in program order: the 1-based cache level
         that served it (``len(levels)+1`` = DRAM) and the latency charged —
         exactly the :class:`AccessResult` fields :meth:`access_line` would
-        have produced for the same access in the same sequence. Cache and
-        TLB state and statistics evolve identically to the scalar replay;
-        this is what the compiled timed-execution engine feeds into the
-        scoreboard.
+        have produced for the same access in the same sequence (see
+        :func:`~repro.memory.trace.run_trace_levels`). Cache and TLB state
+        and statistics evolve identically to the scalar replay; this is
+        what the compiled timed-execution engine feeds into the scoreboard.
         """
-        levels = self.levels_for(core)
-        level_params = self.chip.cache_levels
-        lb = self.dram_line_bytes
-        if force_scalar:
-            served: List[int] = []
-            lats: List[int] = []
-            for acc in trace:
-                if acc.kind == KIND_PREFETCH:
-                    self.prefetch_line(core, acc.address // lb, acc.level)
-                    continue
-                for res in self.access_bytes(
-                    core, acc.address, acc.nbytes, acc.kind
-                ):
-                    served.append(res.level_hit)
-                    lats.append(res.latency_cycles)
-            return (
-                np.array(served, dtype=np.int64),
-                np.array(lats, dtype=np.int64),
+        served, tlb_penalty = self._walk(core, trace)
+        latencies = self._latency_of[served]
+        if tlb_penalty is not None:
+            latencies += tlb_penalty
+        if self.metrics is not None:
+            dram_level = len(self._latency_of) - 1
+            self._count_replay(
+                served.size,
+                int(np.count_nonzero(served == dram_level)),
+                int(latencies.sum()),
             )
-        lines, kinds, plevels = trace.expand_lines(lb)
-        is_prefetch = kinds == CODE_PREFETCH
-        if is_prefetch.any():
-            targets = plevels[is_prefetch]
-            lo, hi = int(targets.min()), int(targets.max())
-            if lo < 1 or hi > len(levels):
-                raise SimulationError(
-                    f"prefetch target level {lo if lo < 1 else hi} "
-                    f"out of range"
-                )
-        demand = ~is_prefetch
-        served_at = np.zeros(lines.size, dtype=np.int64)
-        tlb_penalty = np.zeros(lines.size, dtype=np.int64)
-        tlb = self.tlbs[core]
-        if tlb is not None:
-            demand_idx = np.flatnonzero(demand)
-            for idx in demand_idx:
-                if not tlb.access_line(int(lines[idx]), lb):
-                    tlb_penalty[idx] = tlb.params.miss_penalty_cycles
-        active = np.flatnonzero(demand | (plevels == 1))
-        inject = np.empty(0, dtype=np.int64)
-        is_store = kinds == CODE_STORE
-        for depth, cache in enumerate(levels, start=1):
-            if depth > 1:
-                entering = np.flatnonzero(is_prefetch & (plevels == depth))
-                if entering.size:
-                    active = np.sort(np.concatenate([active, entering]))
-            if active.size == 0 and inject.size == 0:
-                continue
-            # See run_batch: injected write-through stores merge with the
-            # walking subset in program order; the two are disjoint.
-            if inject.size:
-                merged = np.concatenate([active, inject])
-                order = np.argsort(merged, kind="stable")
-                merged = merged[order]
-                from_walk = np.concatenate(
-                    [
-                        np.ones(active.size, dtype=bool),
-                        np.zeros(inject.size, dtype=bool),
-                    ]
-                )[order]
-            else:
-                merged, from_walk = active, None
-            hits = cache.access_lines_batched(lines[merged], kinds[merged])
-            if from_walk is None:
-                walk_idx, walk_hits = merged, hits
-            else:
-                walk_idx, walk_hits = merged[from_walk], hits[from_walk]
-            served_at[walk_idx[walk_hits]] = depth
-            wt = (
-                level_params[depth - 1].write_policy
-                is WritePolicy.WRITE_THROUGH
-            )
-            if wt:
-                stores_hit = walk_idx[walk_hits & is_store[walk_idx]]
-                next_inject = (
-                    np.sort(np.concatenate([stores_hit, inject]))
-                    if inject.size
-                    else stores_hit
-                )
-                if depth == len(levels):
-                    self.dram_accesses += int(next_inject.size)
-                    next_inject = np.empty(0, dtype=np.int64)
-            else:
-                next_inject = np.empty(0, dtype=np.int64)
-            inject = next_inject
-            active = walk_idx[~walk_hits]
-        dram_idx = active[demand[active]]
-        self.dram_accesses += dram_idx.size
-        served_at[dram_idx] = len(levels) + 1
-        latency_of = np.array(
-            [0]
-            + [p.latency_cycles for p in level_params]
-            + [self.chip.dram.latency_cycles],
-            dtype=np.int64,
-        )
-        out_levels = served_at[demand]
-        out_lat = latency_of[out_levels] + tlb_penalty[demand]
-        m = self.metrics
-        if m is not None:
-            m.inc("hierarchy.batched_replays")
-            m.inc("hierarchy.demand_line_accesses", int(out_levels.size))
-            m.inc("hierarchy.dram_line_accesses", int(dram_idx.size))
-            m.inc("hierarchy.latency_cycles", int(out_lat.sum()))
-        return out_levels, out_lat
+        return served.astype(np.int64), latencies
 
     # -- prefetchers --------------------------------------------------------
 
@@ -500,7 +429,10 @@ class MemoryHierarchy:
         return merged
 
     def l2_stats(self, module: Optional[int] = None) -> CacheStats:
+        """Stats for one module's L2, or all L2s merged."""
         if module is not None:
+            if not 0 <= module < self.chip.modules:
+                raise SimulationError(f"module {module} out of range")
             return self.l2[module].stats
         merged = CacheStats()
         for cache in self.l2:

@@ -10,10 +10,12 @@ MemoryHierarchy` to obtain per-level miss counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator, List, Tuple
+
+import numpy as np
 
 from repro.memory.cache import KIND_LOAD, KIND_PREFETCH, KIND_STORE
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.hierarchy import LEVEL_SLOTS, MemoryHierarchy
 
 DOUBLE = 8
 QWORD = 16
@@ -80,14 +82,14 @@ def run_trace(
     hierarchy: MemoryHierarchy,
     core: int,
     trace: Iterable[Access],
-    max_level: int = 8,
 ) -> TraceCost:
     """Replay ``trace`` on ``core``; returns latency and per-level hit counts.
 
     ``level_hits[i]`` counts accesses served at 1-based level ``i+1``
-    (the last slot is DRAM).
+    (DRAM is the level after the last cache; see
+    :data:`~repro.memory.hierarchy.LEVEL_SLOTS`).
     """
-    cost = TraceCost(level_hits=[0] * max_level)
+    cost = TraceCost(level_hits=[0] * LEVEL_SLOTS)
     for acc in trace:
         if acc.kind == KIND_PREFETCH:
             line = acc.address // hierarchy.dram_line_bytes
@@ -96,6 +98,33 @@ def run_trace(
         for res in hierarchy.access_bytes(core, acc.address, acc.nbytes, acc.kind):
             cost.accesses += 1
             cost.latency_cycles += res.latency_cycles
-            idx = min(res.level_hit - 1, max_level - 1)
+            idx = min(res.level_hit - 1, LEVEL_SLOTS - 1)
             cost.level_hits[idx] += 1
     return cost
+
+
+def run_trace_levels(
+    hierarchy: MemoryHierarchy,
+    core: int,
+    trace: Iterable[Access],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Replay ``trace`` on ``core`` access by access, returning the
+    ``(levels, latencies)`` of every demand line access in program order.
+
+    The scalar reference for
+    :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch_levels`.
+    """
+    served: List[int] = []
+    latencies: List[int] = []
+    for acc in trace:
+        if acc.kind == KIND_PREFETCH:
+            line = acc.address // hierarchy.dram_line_bytes
+            hierarchy.prefetch_line(core, line, acc.level)
+            continue
+        for res in hierarchy.access_bytes(core, acc.address, acc.nbytes, acc.kind):
+            served.append(res.level_hit)
+            latencies.append(res.latency_cycles)
+    return (
+        np.array(served, dtype=np.int64),
+        np.array(latencies, dtype=np.int64),
+    )

@@ -47,6 +47,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import preset_names
+from repro.engines import CACHE_ENGINES, TIMED_ENGINES
 from repro.errors import ArchitectureError, ReproError
 from repro.obs.run_report import SCHEMA_VERSION
 
@@ -184,7 +185,7 @@ def canonical_query(doc: Dict[str, Any]) -> Dict[str, Any]:
         _require_int(query, "seed", 0)
         if query["nc_slice"] is not None:
             _require_int(query, "nc_slice", 1)
-        if query["engine"] not in ("auto", "batched", "scalar"):
+        if query["engine"] not in CACHE_ENGINES:
             raise QueryError(
                 f"cachesim engine {query['engine']!r} unknown"
             )
@@ -197,7 +198,7 @@ def canonical_query(doc: Dict[str, Any]) -> Dict[str, Any]:
         ):
             raise QueryError("hw_late must be a number")
         query["hw_late"] = float(query["hw_late"])
-        if query["engine"] not in ("auto", "compiled", "interpreted"):
+        if query["engine"] not in TIMED_ENGINES:
             raise QueryError(f"timed engine {query['engine']!r} unknown")
     else:  # stencil / conv
         _require_int(query, "seed", 0)

@@ -42,11 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
+from repro.engines import CACHE_ENGINES as ENGINES
 from repro.errors import SimulationError
 from repro.kernels.kernel_spec import KernelSpec
 from repro.memory.batch import BatchTrace
@@ -54,15 +55,10 @@ from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
 from repro.memory.trace import run_trace
+from repro.memory.warm_memo import WarmMemo
 from repro.obs.metrics import MetricsRegistry
 
 QWORD = 16
-
-#: Backwards-compatible alias (tests exercise the pattern through here).
-_DropPattern = DropPattern
-
-#: Valid values for ``simulate_gebp_cache``'s ``engine`` argument.
-ENGINES = ("auto", "batched", "scalar")
 
 #: Warm-state snapshots carried across adjacent sweep points (see
 #: ``simulate_gebp_cache(incremental=...)``). Keyed by everything that
@@ -70,8 +66,7 @@ ENGINES = ("auto", "batched", "scalar")
 #: the warm trace is independent of ``nc``-prefix position, so entries
 #: hold ``(warm_rows_replayed, snapshot)`` and a sweep point whose warm
 #: trace extends a cached one replays only the delta rows.
-_WARM_MEMO: Dict[tuple, Tuple[int, dict]] = {}
-_WARM_MEMO_LIMIT = 32
+_WARM_MEMO = WarmMemo(32)
 
 
 def clear_warm_memo() -> None:
@@ -337,9 +332,6 @@ def simulate_gebp_cache(
     cached = _WARM_MEMO.get(memo_key) if memo_key is not None else None
     n_warm = len(warm)
     if cached is not None and cached[0] <= n_warm:
-        # Refresh recency: dict order is the LRU order, so a hit moves
-        # the entry to the back and eviction below pops the front.
-        _WARM_MEMO[memo_key] = _WARM_MEMO.pop(memo_key)
         cached_rows, snap = cached
         h.restore(snap)  # snapshot taken post-reset: stats are zero
         if cached_rows < n_warm:
@@ -351,16 +343,9 @@ def simulate_gebp_cache(
         _replay(warm)
         h.reset_stats()
     if memo_key is not None and (cached is None or cached[0] != n_warm):
-        _WARM_MEMO.pop(memo_key, None)
-        while len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-            # Evict the least-recently-used entry only, keeping the hot
-            # tail of the sweep intact (a wholesale clear() here used to
-            # nuke every carried snapshot the moment the 33rd distinct
-            # shape appeared).
-            _WARM_MEMO.pop(next(iter(_WARM_MEMO)))
-            if metrics is not None:
-                metrics.inc("cachesim.warm_evictions")
-        _WARM_MEMO[memo_key] = (n_warm, h.snapshot())
+        evicted = _WARM_MEMO.put(memo_key, (n_warm, h.snapshot()))
+        if metrics is not None and evicted:
+            metrics.inc("cachesim.warm_evictions", evicted)
 
     if span is not None:
         with span:

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
+from repro.engines import TIMED_ENGINES
 from repro.errors import SimulationError
 from repro.isa.executor import Executor, MachineState, Memory
 from repro.isa.instructions import Instruction, Ldr, Prfm
@@ -52,14 +53,9 @@ from repro.kernels.kernel_spec import KernelStyle
 from repro.memory.batch import warm_region
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import SequentialPrefetcher
+from repro.memory.warm_memo import WarmMemo
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.scoreboard import PipelineResult, ScoreboardCore
-
-#: Execution engines for the timed entry points. ``auto`` compiles when
-#: the kernel supports it (see :func:`repro.kernels.compiled.compilability`)
-#: and falls back to the interpreter otherwise; ``compiled`` raises on
-#: non-compilable kernels; ``interpreted`` always takes the oracle path.
-TIMED_ENGINES = ("auto", "compiled", "interpreted")
 
 
 def _stream_widths(kernel) -> Tuple[int, int]:
@@ -353,8 +349,7 @@ def run_timed_micro_tile(
 #: consulted for freshly created hierarchies, whose pre-warm state is
 #: pristine by construction — restoring the snapshot is then bit-identical
 #: to replaying the warm stream into the fresh hierarchy.
-_WARM_MEMO: Dict[tuple, dict] = {}
-_WARM_MEMO_LIMIT = 16
+_WARM_MEMO = WarmMemo(16)
 
 
 def _warm_micro_tile_l2(
@@ -381,9 +376,7 @@ def _warm_micro_tile_l2(
     warm_region(module_l2, B_BASE, (kc + unroll) * wb * DOUBLE_BYTES, line)
     h.reset_stats()
     if memoizable:
-        if len(_WARM_MEMO) >= _WARM_MEMO_LIMIT:
-            _WARM_MEMO.clear()
-        _WARM_MEMO[key] = h.snapshot()
+        _WARM_MEMO.put(key, h.snapshot())
 
 
 def _run_interpreted_kvec(
@@ -595,6 +588,102 @@ class GebpTimedRun:
     fallback_reason: Optional[str] = None
 
 
+def _run_gebp_lanes(
+    kernel: GeneratedKernel,
+    lanes: Tuple[Tuple[int, "np.ndarray", int, int, "np.ndarray"], ...],
+    packed_b: "np.ndarray",
+    chip: ChipParams,
+    hierarchy: Optional[MemoryHierarchy],
+    hw_late: float,
+    engine: str,
+    metrics: Optional[MetricsRegistry],
+) -> List[GebpTimedRun]:
+    """The timed GEBP tile loop behind :func:`run_timed_gebp` and
+    :func:`run_timed_gebp_dual`.
+
+    ``lanes`` holds one ``(core_id, packed_a, a_base, c_base, c_panel)``
+    per core: its packed A block, where A and the C panel sit in the
+    timed address space (they decide cache conflicts, hence cycles), and
+    the C panel, updated in place. All lanes share ``packed_b`` at
+    ``B_BASE``, one module's L2 and the hierarchy (a fresh one when
+    ``None``); at every ``(j, i)`` tile the cores run in lane order,
+    which interleaves them tile by tile.
+    """
+    spec = kernel.spec
+    mr, nr = spec.mr, spec.nr
+    na, kc, mr_in = lanes[0][1].shape
+    nb, kc_b, nr_in = packed_b.shape
+    if (mr_in, nr_in) != (mr, nr) or kc != kc_b:
+        raise SimulationError("packed buffers do not match the kernel")
+    selected, fallback_reason = engine_selection(kernel, engine)
+    mc, nc = na * mr, nb * nr
+    for lane in lanes:
+        if lane[4].shape != (mc, nc):
+            raise SimulationError(f"C panel must be {mc}x{nc}")
+    h = hierarchy or MemoryHierarchy(chip)
+    if len({h.module_of(lane[0]) for lane in lanes}) != 1:
+        raise SimulationError("cores must share a module (and its L2)")
+
+    # GEBP's precondition: packing placed A in the L2 and B in the L3.
+    line = chip.l1d.line_bytes
+    wa, wb = _stream_widths(kernel)
+    a_sliver_bytes = kc * wa * DOUBLE_BYTES
+    b_sliver_bytes = kc * wb * DOUBLE_BYTES
+    for core_id, _, a_base, _, _ in lanes:
+        warm_region(
+            h.l2[h.module_of(core_id)], a_base, na * a_sliver_bytes, line
+        )
+    if h.l3 is not None:
+        warm_region(h.l3, B_BASE, nb * b_sliver_bytes, line)
+    h.reset_stats()
+
+    tile_cycles: List[List[int]] = [[] for _ in lanes]
+    for j in range(nb):
+        cols = slice(j * nr, (j + 1) * nr)
+        for i in range(na):
+            rows = slice(i * mr, (i + 1) * mr)
+            for (core_id, packed_a, a_base, c_base, c_panel), cycles in zip(
+                lanes, tile_cycles
+            ):
+                bases = {
+                    A_POINTER.index: a_base + i * a_sliver_bytes,
+                    B_POINTER.index: B_BASE + j * b_sliver_bytes,
+                    C_POINTER.index: c_base
+                    + (j * nr * mc + i * mr) * DOUBLE_BYTES,
+                }
+                run = run_timed_micro_tile(
+                    kernel,
+                    packed_a[i],
+                    packed_b[j],
+                    c_panel[rows, cols],
+                    chip=chip,
+                    hierarchy=h,
+                    core_id=core_id,
+                    hw_late=hw_late,
+                    warm_l2=False,
+                    timing_bases=bases,
+                    engine=engine,
+                    metrics=metrics,
+                )
+                c_panel[rows, cols] = run.c_tile
+                cycles.append(run.cycles)
+
+    iters = na * nb * kc
+    flops = 2 * mc * nc * kc
+    return [
+        GebpTimedRun(
+            c_panel=lane[4],
+            cycles=sum(cycles),
+            cycles_per_iteration=sum(cycles) / iters,
+            efficiency=(flops / sum(cycles)) / chip.core.flops_per_cycle,
+            tile_cycles=cycles,
+            engine=selected,
+            fallback_reason=fallback_reason,
+        )
+        for lane, cycles in zip(lanes, tile_cycles)
+    ]
+
+
 def run_timed_gebp_dual(
     kernel: GeneratedKernel,
     packed_a0: "np.ndarray",
@@ -633,84 +722,22 @@ def run_timed_gebp_dual(
     Returns:
         One :class:`GebpTimedRun` per core (C panels start at zero).
     """
-    spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
-    selected, fallback_reason = engine_selection(kernel, engine)
     if packed_a0.shape != packed_a1.shape:
         raise SimulationError("both cores need equally-shaped A blocks")
-    na, kc, _ = packed_a0.shape
-    nb = packed_b.shape[0]
-    h = hierarchy or MemoryHierarchy(chip)
-    if h.module_of(cores[0]) != h.module_of(cores[1]):
-        raise SimulationError("cores must share a module (and its L2)")
-
-    line = chip.l1d.line_bytes
-    elem = 8
-    wa, wb = _stream_widths(kernel)
-    a_sliver_bytes = kc * wa * elem
-    b_sliver_bytes = kc * wb * elem
-    a_bases = {cores[0]: A_BASE, cores[1]: A_BASE + (1 << 26)}
-    module_l2 = h.l2[h.module_of(cores[0])]
-    for cid in cores:
-        warm_region(module_l2, a_bases[cid], na * a_sliver_bytes, line)
-    if h.l3 is not None:
-        warm_region(h.l3, B_BASE, nb * b_sliver_bytes, line)
-    h.reset_stats()
-
-    mc, nc = na * mr, nb * nr
-    panels = {cid: np.zeros((mc, nc)) for cid in cores}
-    cycles = {cid: [] for cid in cores}
-    c_bases = {cores[0]: 0x4000000, cores[1]: 0x5000000}
-    packed = {cores[0]: packed_a0, cores[1]: packed_a1}
-
-    for j in range(nb):
-        for i in range(na):
-            for cid in cores:
-                tile = panels[cid][
-                    i * mr : (i + 1) * mr, j * nr : (j + 1) * nr
-                ]
-                bases = {
-                    A_POINTER.index: a_bases[cid] + i * a_sliver_bytes,
-                    B_POINTER.index: B_BASE + j * b_sliver_bytes,
-                    C_POINTER.index: c_bases[cid]
-                    + (j * nr * mc + i * mr) * elem,
-                }
-                run = run_timed_micro_tile(
-                    kernel,
-                    packed[cid][i],
-                    packed_b[j],
-                    tile,
-                    chip=chip,
-                    hierarchy=h,
-                    core_id=cid,
-                    hw_late=hw_late,
-                    warm_l2=False,
-                    timing_bases=bases,
-                    engine=engine,
-                    metrics=metrics,
-                )
-                panels[cid][
-                    i * mr : (i + 1) * mr, j * nr : (j + 1) * nr
-                ] = run.c_tile
-                cycles[cid].append(run.cycles)
-
-    iters = na * nb * kc
-    flops = 2 * mc * nc * kc
-    out = []
-    for cid in cores:
-        total = sum(cycles[cid])
-        out.append(
-            GebpTimedRun(
-                c_panel=panels[cid],
-                cycles=total,
-                cycles_per_iteration=total / iters,
-                efficiency=(flops / total) / chip.core.flops_per_cycle,
-                tile_cycles=cycles[cid],
-                engine=selected,
-                fallback_reason=fallback_reason,
-            )
-        )
-    return out[0], out[1]
+    panel_shape = (
+        packed_a0.shape[0] * kernel.spec.mr,
+        packed_b.shape[0] * kernel.spec.nr,
+    )
+    run0, run1 = _run_gebp_lanes(
+        kernel,
+        (
+            (cores[0], packed_a0, A_BASE, 0x4000000, np.zeros(panel_shape)),
+            (cores[1], packed_a1, A_BASE + (1 << 26), 0x5000000,
+             np.zeros(panel_shape)),
+        ),
+        packed_b, chip, hierarchy, hw_late, engine, metrics,
+    )
+    return run0, run1
 
 
 def run_timed_gebp(
@@ -745,71 +772,15 @@ def run_timed_gebp(
         engine: One of :data:`TIMED_ENGINES`, forwarded to every
             micro-tile run.
     """
-    spec = kernel.spec
-    mr, nr = spec.mr, spec.nr
-    na, kc, mr_in = packed_a.shape
-    nb, kc_b, nr_in = packed_b.shape
-    if (mr_in, nr_in) != (mr, nr) or kc != kc_b:
-        raise SimulationError("packed buffers do not match the kernel")
-    selected, fallback_reason = engine_selection(kernel, engine)
-    mc, nc = na * mr, nb * nr
     if c_panel is None:
-        c_panel = np.zeros((mc, nc))
-    c_panel = np.array(c_panel, dtype=np.float64)
-    if c_panel.shape != (mc, nc):
-        raise SimulationError(f"C panel must be {mc}x{nc}")
-
-    h = MemoryHierarchy(chip)
-    # GEBP's precondition: packing placed A in the L2 and B in the L3.
-    line = chip.l1d.line_bytes
-    elem = 8
-    wa, wb = _stream_widths(kernel)
-    a_bytes_per_sliver = kc * wa * elem
-    b_bytes_per_sliver = kc * wb * elem
-    warm_region(
-        h.l2[h.module_of(core_id)], A_BASE, na * a_bytes_per_sliver, line
+        c_panel = np.zeros(
+            (packed_a.shape[0] * kernel.spec.mr,
+             packed_b.shape[0] * kernel.spec.nr)
+        )
+    (run,) = _run_gebp_lanes(
+        kernel,
+        ((core_id, packed_a, A_BASE, 0x2000000,
+          np.array(c_panel, dtype=np.float64)),),
+        packed_b, chip, None, hw_late, engine, metrics,
     )
-    if h.l3 is not None:
-        warm_region(h.l3, B_BASE, nb * b_bytes_per_sliver, line)
-    h.reset_stats()
-
-    tile_cycles: List[int] = []
-    c_base_panel = 0x2000000
-    for j in range(nb):
-        for i in range(na):
-            tile = c_panel[i * mr : (i + 1) * mr, j * nr : (j + 1) * nr]
-            bases = {
-                A_POINTER.index: A_BASE + i * a_bytes_per_sliver,
-                B_POINTER.index: B_BASE + j * b_bytes_per_sliver,
-                C_POINTER.index: c_base_panel
-                + (j * nr * mc + i * mr) * elem,
-            }
-            run = run_timed_micro_tile(
-                kernel,
-                packed_a[i],
-                packed_b[j],
-                tile,
-                chip=chip,
-                hierarchy=h,
-                core_id=core_id,
-                hw_late=hw_late,
-                warm_l2=False,
-                timing_bases=bases,
-                engine=engine,
-                metrics=metrics,
-            )
-            c_panel[i * mr : (i + 1) * mr, j * nr : (j + 1) * nr] = run.c_tile
-            tile_cycles.append(run.cycles)
-
-    total = sum(tile_cycles)
-    iters = na * nb * kc
-    flops = 2 * mc * nc * kc
-    return GebpTimedRun(
-        c_panel=c_panel,
-        cycles=total,
-        cycles_per_iteration=total / iters,
-        efficiency=(flops / total) / chip.core.flops_per_cycle,
-        tile_cycles=tile_cycles,
-        engine=selected,
-        fallback_reason=fallback_reason,
-    )
+    return run

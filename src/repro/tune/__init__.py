@@ -1,7 +1,7 @@
 """Parallel, memoized kernel autotuning over the codegen search space.
 
-Grows the block-size grid search of :mod:`repro.blocking.autotune` into
-full kernel synthesis: :mod:`~repro.tune.space` enumerates register
+The repo's one autotuner: a block-size search grown into full kernel
+synthesis. :mod:`~repro.tune.space` enumerates register
 tiles, rotation schemes, issue schedules and blocking neighborhoods;
 :mod:`~repro.tune.evaluate` prices candidates analytically and times the
 survivors through the compiled engine; :mod:`~repro.tune.memo` keys every

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.arch.params import ChipParams
 from repro.blocking.cache_blocking import CacheBlocking
+from repro.engines import CACHE_ENGINES, TIMED_ENGINES
 from repro.errors import SimulationError
 from repro.gemm.driver import dgemm
 from repro.gemm.trace import GemmTrace
@@ -61,12 +62,6 @@ __all__ = [
     "simulate_workload_cache",
     "timed_workload",
 ]
-
-#: Valid values for ``simulate_workload_cache``'s ``engine`` argument.
-CACHE_ENGINES = ("auto", "batched", "scalar")
-
-#: Valid values for ``timed_workload``'s ``engine`` argument.
-TIMED_ENGINES = ("auto", "compiled", "interpreted")
 
 
 @dataclass

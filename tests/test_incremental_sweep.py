@@ -212,9 +212,9 @@ class TestWarmMemoEviction:
         clear_warm_memo()
         try:
             hot = point(0)
-            hot_key = next(iter(gc._WARM_MEMO))
+            (hot_key,) = gc._WARM_MEMO.keys()
             metrics = MetricsRegistry()
-            distinct = gc._WARM_MEMO_LIMIT + 8
+            distinct = gc._WARM_MEMO.limit + 8
             for seed in range(1, distinct + 1):
                 point(seed, metrics=metrics)  # install a cold shape
                 point(0, metrics=metrics)     # keep the hot one recent
@@ -224,11 +224,58 @@ class TestWarmMemoEviction:
             assert hot_key in gc._WARM_MEMO
             assert counters["cachesim.warm_restores"] >= distinct
             assert counters["cachesim.warm_evictions"] >= 8
-            assert len(gc._WARM_MEMO) <= gc._WARM_MEMO_LIMIT
+            assert len(gc._WARM_MEMO) <= gc._WARM_MEMO.limit
             # And restoring it still reproduces the cold-start result.
             assert point(0) == hot
         finally:
             clear_warm_memo()
+
+
+class TestWarmMemoThreads:
+    def test_hammer_overlapping_keys(self):
+        """Pool threads share the warm memos: concurrent get/put on
+        overlapping keys must never raise, hand back another key's
+        entry, or leave more entries than the limit."""
+        import sys
+        import threading
+
+        from repro.memory.warm_memo import WarmMemo
+
+        memo = WarmMemo(4)
+        errors = []
+        over_limit = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(3000):
+                    key = rng.randrange(12)
+                    value = memo.get(key)
+                    if value is not None and value[0] != key:
+                        errors.append(f"key {key} returned {value}")
+                    memo.put(key, (key, seed))
+                    if len(memo) > memo.limit:
+                        over_limit.append(len(memo))
+            except Exception as exc:  # recorded, asserted below
+                errors.append(repr(exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert over_limit == []
+        assert len(memo) == memo.limit
 
 
 class TestTimedWarmMemo:

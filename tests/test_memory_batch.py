@@ -285,16 +285,6 @@ class TestRunBatch:
             seed=11,
         )
 
-    def test_force_scalar_is_identical(self):
-        chip = small_chip()
-        trace = BatchTrace.from_accesses(self.generator_trace())
-        h_a = MemoryHierarchy(chip)
-        h_b = MemoryHierarchy(chip)
-        assert h_a.run_batch(0, trace, force_scalar=True) == h_b.run_batch(
-            0, trace
-        )
-        assert h_a.l1_stats() == h_b.l1_stats()
-
     def test_write_through_levels_stay_batched(self):
         """Write-through hierarchies run the batched store-propagation
         walk (they used to bail out to the scalar oracle wholesale)."""

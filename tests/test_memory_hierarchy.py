@@ -1,10 +1,13 @@
 """Unit tests for the multi-core memory hierarchy and TLB."""
 
+import dataclasses
+
 import pytest
 
-from repro.arch import XGENE, TlbParams, single_core
+from repro.arch import XGENE, ReplacementPolicy, TlbParams, single_core
+from repro.arch.params import WritePolicy
 from repro.errors import SimulationError
-from repro.memory import KIND_STORE, MemoryHierarchy, Tlb
+from repro.memory import KIND_STORE, MemoryHierarchy, Tlb, run_trace_levels
 
 
 class TestTopology:
@@ -25,6 +28,14 @@ class TestTopology:
         h = MemoryHierarchy(XGENE)
         with pytest.raises(SimulationError):
             h.access_line(8, 0)
+
+    @pytest.mark.parametrize("module", [-1, 4])
+    def test_l2_stats_module_out_of_range(self, module):
+        h = MemoryHierarchy(XGENE)
+        with pytest.raises(SimulationError):
+            h.l2_stats(module)
+        with pytest.raises(SimulationError):
+            h.l1_stats(2 * module)
 
     def test_levels_for_core(self):
         h = MemoryHierarchy(XGENE)
@@ -211,26 +222,67 @@ class TestRunBatchLevels:
                 rows.append((addr, int(rng.integers(1, 96)), CODE_LOAD, 1))
         return BatchTrace.from_rows(rows)
 
-    def _compare(self, with_tlb):
+    def _compare(self, with_tlb, chip=XGENE, seed=None):
         import numpy as np
 
         trace = self._trace()
-        h_fast = MemoryHierarchy(XGENE, with_tlb=with_tlb)
-        h_ref = MemoryHierarchy(XGENE, with_tlb=with_tlb)
+        h_fast = MemoryHierarchy(chip, with_tlb=with_tlb, seed=seed)
+        h_ref = MemoryHierarchy(chip, with_tlb=with_tlb, seed=seed)
         lv_fast, lat_fast = h_fast.run_batch_levels(0, trace)
-        lv_ref, lat_ref = h_ref.run_batch_levels(0, trace, force_scalar=True)
+        lv_ref, lat_ref = run_trace_levels(h_ref, 0, trace)
         assert np.array_equal(lv_fast, lv_ref)
         assert np.array_equal(lat_fast, lat_ref)
-        assert h_fast.l1_stats(0) == h_ref.l1_stats(0)
-        assert h_fast.l2_stats(0) == h_ref.l2_stats(0)
-        assert h_fast.l3_stats() == h_ref.l3_stats()
+        for name, cache in h_fast.all_caches().items():
+            assert cache.stats == h_ref.all_caches()[name].stats, name
         assert h_fast.dram_accesses == h_ref.dram_accesses
+        assert [t and t.stats for t in h_fast.tlbs] == [
+            t and t.stats for t in h_ref.tlbs
+        ]
 
     def test_matches_scalar_engine(self):
         self._compare(with_tlb=False)
 
     def test_matches_scalar_engine_with_tlb(self):
         self._compare(with_tlb=True)
+
+    @pytest.mark.parametrize(
+        "policy, write_through, seed, with_tlb",
+        [
+            (ReplacementPolicy.LRU, (), None, False),
+            (ReplacementPolicy.PLRU, (), None, False),
+            (ReplacementPolicy.RANDOM, (), 7, False),
+            (ReplacementPolicy.LRU, ("l1d",), None, False),
+            (ReplacementPolicy.LRU, ("l1d", "l2"), None, True),
+            (ReplacementPolicy.PLRU, ("l1d",), None, True),
+            (ReplacementPolicy.RANDOM, ("l1d", "l2", "l3"), 3, True),
+        ],
+        ids=[
+            "lru", "plru", "random", "wt-l1", "wt-l1-l2-tlb",
+            "plru-wt-l1-tlb", "random-wt-all-tlb",
+        ],
+    )
+    def test_matches_scalar_reference(
+        self, policy, write_through, seed, with_tlb
+    ):
+        """A shrunk X-Gene, so the trace evicts at every level and in
+        the TLB."""
+        sizes = {"l1d": 2048, "l2": 4096, "l3": 8192}
+        levels = {
+            name: dataclasses.replace(
+                getattr(XGENE, name),
+                size_bytes=size,
+                ways=4,
+                replacement=policy,
+                write_policy=(
+                    WritePolicy.WRITE_THROUGH if name in write_through
+                    else getattr(XGENE, name).write_policy
+                ),
+            )
+            for name, size in sizes.items()
+        }
+        tlb = dataclasses.replace(XGENE.tlb, entries=4)
+        chip = dataclasses.replace(XGENE, tlb=tlb, **levels)
+        self._compare(with_tlb, chip=chip, seed=seed)
 
     def test_prefetch_level_out_of_range(self):
         from repro.memory import BatchTrace

@@ -13,27 +13,27 @@ from repro.blocking import CacheBlocking, solve_cache_blocking
 from repro.errors import SimulationError
 from repro.kernels import KERNEL_4X4, KERNEL_8X4, KERNEL_8X6
 from repro.memory import MemoryHierarchy
+from repro.memory.prefetcher import DropPattern
 from repro.sim import analyze_residency, simulate_gebp_cache
-from repro.sim.gebp_cachesim import _DropPattern
 
 
 class TestDropPattern:
     def test_rate_zero_never_drops(self):
-        d = _DropPattern(0.0)
+        d = DropPattern(0.0)
         assert not any(d.dropped() for _ in range(100))
 
     def test_rate_one_always_drops(self):
-        d = _DropPattern(1.0)
+        d = DropPattern(1.0)
         assert all(d.dropped() for _ in range(100))
 
     def test_rate_third(self):
-        d = _DropPattern(1 / 3)
+        d = DropPattern(1 / 3)
         drops = sum(d.dropped() for _ in range(300))
         assert drops == pytest.approx(100, abs=2)
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            _DropPattern(1.5)
+            DropPattern(1.5)
 
 
 class TestGebpCacheSim:

@@ -13,12 +13,14 @@ import json
 
 import pytest
 
-from repro.blocking.autotune import autotune, candidate_tiles, neighborhood
+from repro.blocking.autotune import candidate_tiles, neighborhood
+from repro.blocking.cache_blocking import solve_cache_blocking
 from repro.blocking.register_blocking import RegisterBlockingProblem
 from repro.arch.presets import XGENE
 from repro.errors import BlockingError
 from repro.kernels import compilability, generate_kernel
 from repro.kernels.kernel_spec import KernelSpec
+from repro.obs import MetricsRegistry
 from repro.serve.store import ResultStore
 from repro.tune import (
     Candidate,
@@ -66,23 +68,42 @@ class TestCandidateTiles:
 
 
 class TestAutotuneDedup:
-    def test_counting_evaluator_sees_no_repeats(self):
-        seen = set()
+    """The search behind the paper's future-work auto-tuning item:
+    ``tune_search`` at the old block-size search's parameters."""
 
-        def counting(name, size, threads, blk):
-            key = (blk.mr, blk.nr, blk.kc, blk.mc, blk.nc,
-                   blk.k1, blk.k2, blk.k3)
+    PARAMS = dict(machine="xgene", threads=1, problem_size=2048,
+                  max_tiles=3)
+
+    def test_counting_evaluator_sees_no_repeats(self, tmp_path, monkeypatch):
+        import repro.tune.search as search
+
+        seen = set()
+        evaluate = search.analytic_eval
+
+        def counting(chip, doc):
+            key = json.dumps(doc, sort_keys=True)
             assert key not in seen, f"configuration scored twice: {key}"
             seen.add(key)
-            return 0.5
+            return evaluate(chip, doc)
 
-        results = autotune(max_tiles=3, score=counting)
-        assert len(results) == len(seen)
+        monkeypatch.setattr(search, "analytic_eval", counting)
+        metrics = MetricsRegistry()
+        result = tune_search(
+            **self.PARAMS, store=ResultStore(tmp_path), metrics=metrics
+        )
+        classes = result["space"]["analytic_classes"]
+        assert len(seen) == classes
+        assert metrics.as_dict()["counters"]["tune.analytic_evals"] == classes
 
     def test_winner_unchanged_by_refactor(self):
-        best = autotune(threads=1, problem_size=2048, max_tiles=3)[0]
-        assert best.kernel == "8x6"
-        assert str(best.blocking) == "8x6x512x56x1920"
+        result = tune_search(**self.PARAMS)
+        winner = Candidate(**result["winner"]["candidate"])
+        analytic = solve_cache_blocking(XGENE, 8, 6, threads=1)
+        assert (winner.mr, winner.nr) == (8, 6)
+        assert (winner.kc, winner.mc, winner.nc) == (
+            analytic.kc, analytic.mc, analytic.nc,
+        )
+        assert str(winner.blocking()) == "8x6x512x56x1920"
 
 
 class TestEnumerator:
