@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.engines import cache_engine
 from repro.gemm.pool import WorkerPool
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.run_report import RunReport
@@ -135,7 +136,7 @@ def _cachesim_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
     _, chip = resolve_machine(query["machine"])
     sim = GemmSimulator(chip)
     requested = query["engine"]
-    selected = "scalar" if requested == "scalar" else "batched"
+    selected = cache_engine(requested)
     result = sim.cache_sim(
         query["kernel"], threads=query["threads"],
         nc_slice=query["nc_slice"], engine=requested, seed=query["seed"],
@@ -172,7 +173,7 @@ def _stencil_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
         seed=query["seed"], smoke=query["smoke"],
     )
     engines = {
-        "cache": {"requested": "auto", "selected": "batched",
+        "cache": {"requested": "auto", "selected": cache_engine("auto"),
                   "fallback_reason": None},
         "timed": {"requested": "auto", "selected": "compiled",
                   "fallback_reason": None},
@@ -191,7 +192,7 @@ def _conv_answer(query: Dict[str, Any]) -> Tuple[Dict, Dict]:
         seed=query["seed"], smoke=query["smoke"],
     )
     engines = {
-        "cache": {"requested": "auto", "selected": "batched",
+        "cache": {"requested": "auto", "selected": cache_engine("auto"),
                   "fallback_reason": None},
         "timed": {"requested": "auto", "selected": "compiled",
                   "fallback_reason": None},

@@ -11,7 +11,8 @@ Two prefetch mechanisms act on the streams, as on the real core:
 
 - **software** (``PLDL1KEEP``/``PLDL2KEEP``): issued by the kernel at the
   PREFA/PREFB distances. Best-effort — dropped when the load queue is
-  full, modeled by a deterministic drop pattern at rate ``prefetch_drop``.
+  full, modeled by a deterministic drop pattern at rate
+  :data:`PREFETCH_DROP`.
 - **hardware**: the core's tagged sequential prefetcher. Both the packed
   A and packed B streams are perfectly sequential inside the k-loop, so
   on every transition to a new line the next line is pulled in, except
@@ -30,7 +31,10 @@ Both prefetch streams are pure functions of the demand addresses — the
 drop patterns are deterministic and the sequential prefetcher only looks
 at line transitions — so the whole access sequence is compiled **once per
 GEBP shape** into a pair of :class:`~repro.memory.batch.BatchTrace`
-objects (warm-up and main loop) and replayed through either engine:
+objects (warm-up and main loop). :func:`simulate_gebp_cache` hands them
+to :func:`repro.memory.replay.replay_cache`, the warm-then-measure
+driver shared with :func:`~repro.workloads.base.simulate_workload_cache`,
+which replays them through either engine:
 
 - ``engine="batched"`` (and ``"auto"``): the vectorized
   :meth:`~repro.memory.hierarchy.MemoryHierarchy.run_batch` sweep.
@@ -47,31 +51,21 @@ from typing import List, Optional, Tuple
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
-from repro.engines import CACHE_ENGINES as ENGINES
-from repro.errors import SimulationError
 from repro.kernels.kernel_spec import KernelSpec
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.prefetcher import DropPattern, SequentialPrefetcher
-from repro.memory.trace import run_trace
-from repro.memory.warm_memo import WarmMemo
+from repro.memory.replay import replay_cache
 from repro.obs.metrics import MetricsRegistry
 
 QWORD = 16
 
-#: Warm-state snapshots carried across adjacent sweep points (see
-#: ``simulate_gebp_cache(incremental=...)``). Keyed by everything that
-#: determines the warm-up stream and the hierarchy it replays into —
-#: the warm trace is independent of ``nc``-prefix position, so entries
-#: hold ``(warm_rows_replayed, snapshot)`` and a sweep point whose warm
-#: trace extends a cached one replays only the delta rows.
-_WARM_MEMO = WarmMemo(32)
+#: Fraction of software prefetches dropped (load queue full).
+PREFETCH_DROP = 0.35
 
-
-def clear_warm_memo() -> None:
-    """Drop all carried warm-state snapshots (test-isolation hook)."""
-    _WARM_MEMO.clear()
+#: A-stream software prefetch distance, in bytes.
+PREFA_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -105,9 +99,7 @@ def _gebp_trace(
     nc: int,
     line: int,
     prefetch: bool,
-    prefetch_drop: float,
     hw_late: float,
-    prefa_bytes: int,
 ) -> Tuple[BatchTrace, BatchTrace, int]:
     """Compile the GEBP access stream for one shape, at address base 0.
 
@@ -133,7 +125,7 @@ def _gebp_trace(
         warm_rows.append((b_base + off, 1, CODE_STORE, 1))
 
     rows: List[Tuple[int, int, int, int]] = []
-    drop = DropPattern(prefetch_drop if prefetch else 1.0)
+    drop = DropPattern(PREFETCH_DROP if prefetch else 1.0)
     hw = SequentialPrefetcher(
         None,
         0,
@@ -172,7 +164,7 @@ def _gebp_trace(
                     demand(b_addr + q * QWORD, "B")
                     kernel_loads += 1
                 if prefetch:
-                    pf_a = a_addr + prefa_bytes
+                    pf_a = a_addr + PREFA_BYTES
                     if pf_a < a_sliver + kc * mr * elem and not drop.dropped():
                         rows.append(
                             ((pf_a // line) * line, 1, CODE_PREFETCH, 1)
@@ -202,9 +194,7 @@ def gebp_traces(
     core: int = 0,
     nc_slice: Optional[int] = None,
     prefetch: bool = True,
-    prefetch_drop: float = 0.35,
     hw_late: float = 0.25,
-    prefa_bytes: int = 1024,
 ) -> Tuple[BatchTrace, BatchTrace, int]:
     """The ``(warm, main, kernel_loads)`` streams one GEBP replay issues.
 
@@ -220,9 +210,7 @@ def gebp_traces(
         nc,
         chip.l1d.line_bytes,
         bool(prefetch),
-        float(prefetch_drop),
         float(hw_late),
-        int(prefa_bytes),
     )
     offset = core * (1 << 30)
     return warm.shifted(offset), main.shifted(offset), kernel_loads
@@ -236,9 +224,7 @@ def simulate_gebp_cache(
     hierarchy: Optional[MemoryHierarchy] = None,
     nc_slice: Optional[int] = None,
     prefetch: bool = True,
-    prefetch_drop: float = 0.35,
     hw_late: float = 0.25,
-    prefa_bytes: int = 1024,
     engine: str = "auto",
     seed: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -256,10 +242,8 @@ def simulate_gebp_cache(
         nc_slice: Columns of the B panel to replay (default
             ``min(nc, 6*nr)`` — steady state is reached within a sliver).
         prefetch: Software prefetching enabled.
-        prefetch_drop: Fraction of software prefetches dropped.
         hw_late: Fraction of hardware sequential prefetches that arrive
             too late to cover the demand access.
-        prefa_bytes: A-stream prefetch distance.
         engine: ``"auto"``/``"batched"`` for the vectorized sweep,
             ``"scalar"`` for the per-access oracle. Both produce
             bit-identical counters.
@@ -276,91 +260,16 @@ def simulate_gebp_cache(
             by construction (the ``sweep.incremental`` oracle pins it);
             only applies when ``hierarchy`` is omitted.
     """
-    if engine not in ENGINES:
-        raise SimulationError(
-            f"unknown engine {engine!r}; choose from {ENGINES}"
-        )
-    h = hierarchy or MemoryHierarchy(chip, seed=seed)
     warm, main, kernel_loads = gebp_traces(
-        spec,
-        blocking,
-        chip=chip,
-        core=core,
-        nc_slice=nc_slice,
-        prefetch=prefetch,
-        prefetch_drop=prefetch_drop,
-        hw_late=hw_late,
-        prefa_bytes=prefa_bytes,
+        spec, blocking, chip=chip, core=core, nc_slice=nc_slice,
+        prefetch=prefetch, hw_late=hw_late,
     )
-
-    selected = "scalar" if engine == "scalar" else "batched"
-    if metrics is not None:
-        metrics.inc("cachesim.replays")
-        metrics.inc(f"cachesim.engine.{selected}")
-        metrics.observe("cachesim.trace_records", len(main))
-        span = metrics.span("cachesim.replay")
-    else:
-        span = None
-
-    def _replay(trace: BatchTrace) -> None:
-        if selected == "scalar":
-            run_trace(h, core, trace)
-        else:
-            h.run_batch(core, trace)
-
-    # Warm the L2/L3 the way GEBP's preconditions state: the packed A
-    # block resides in L2, the packed B panel in L3. Packing itself wrote
-    # them, which is what installs them. With ``incremental``, the
-    # post-warm-up state is snapshotted and carried to the next sweep
-    # point sharing the stream: warm rows are A stores (nc-independent)
-    # followed by B stores (growing with nc), so adjacent points' warm
-    # traces are literal prefixes of each other and a restore plus a
-    # delta replay reproduces the cold-start state bit-exactly.
-    memo_key = None
-    if incremental and hierarchy is None:
-        memo_key = (
-            chip,
-            seed,
-            core,
-            selected,
-            spec.mr,
-            spec.nr,
-            blocking.kc,
-            blocking.mc,
-            chip.l1d.line_bytes,
-        )
-    cached = _WARM_MEMO.get(memo_key) if memo_key is not None else None
-    n_warm = len(warm)
-    if cached is not None and cached[0] <= n_warm:
-        cached_rows, snap = cached
-        h.restore(snap)  # snapshot taken post-reset: stats are zero
-        if cached_rows < n_warm:
-            _replay(BatchTrace(warm.records[cached_rows:]))
-            h.reset_stats()
-        if metrics is not None:
-            metrics.inc("cachesim.warm_restores")
-    else:
-        _replay(warm)
-        h.reset_stats()
-    if memo_key is not None and (cached is None or cached[0] != n_warm):
-        evicted = _WARM_MEMO.put(memo_key, (n_warm, h.snapshot()))
-        if metrics is not None and evicted:
-            metrics.inc("cachesim.warm_evictions", evicted)
-
-    if span is not None:
-        with span:
-            _replay(main)
-    else:
-        _replay(main)
-
-    l1 = h.l1_stats(core)
-    l2 = h.l2_stats(h.module_of(core))
-    return GebpCacheResult(
-        l1_loads=l1.loads,
-        l1_load_misses=l1.load_misses,
-        l1_load_miss_rate=l1.load_miss_rate,
-        l2_loads=l2.loads,
-        l2_load_misses=l2.load_misses,
-        dram_accesses=h.dram_accesses,
-        kernel_loads=kernel_loads,
+    # Warm rows are A stores (nc-independent) followed by B stores
+    # (growing with nc), so adjacent sweep points' warm traces are
+    # literal prefixes of each other: the key leaves nc out.
+    key = (spec.mr, spec.nr, blocking.kc, blocking.mc, chip.l1d.line_bytes)
+    counters = replay_cache(
+        hierarchy, chip, core, (warm, main), engine, seed, metrics,
+        key if incremental else None,
     )
+    return GebpCacheResult(*counters, kernel_loads=kernel_loads)

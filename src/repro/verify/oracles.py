@@ -536,7 +536,8 @@ def _sweep_run(params: Dict[str, Any], incremental: bool) -> Dict[str, Any]:
     import dataclasses
 
     from repro.kernels.variants import VARIANTS
-    from repro.sim.gebp_cachesim import clear_warm_memo, simulate_gebp_cache
+    from repro.memory.replay import clear_warm_memo
+    from repro.sim.gebp_cachesim import simulate_gebp_cache
 
     spec = VARIANTS[params["kernel"]]
     chip = CHIPS[params["chip"]]

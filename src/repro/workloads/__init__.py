@@ -11,8 +11,6 @@ the CLI, the serve layer and the committed baseline.
 """
 
 from repro.workloads.base import (
-    CACHE_ENGINES,
-    TIMED_ENGINES,
     Workload,
     WorkloadCacheResult,
     WorkloadResult,
@@ -43,8 +41,6 @@ from repro.workloads.stencil import (
 )
 
 __all__ = [
-    "CACHE_ENGINES",
-    "TIMED_ENGINES",
     "ConvSpec",
     "ConvWorkload",
     "StencilSpec",

@@ -26,8 +26,9 @@ from repro.kernels.variants import VARIANTS
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.memory.replay import clear_warm_memo
 from repro.memory.trace import run_trace
-from repro.sim.gebp_cachesim import clear_warm_memo, simulate_gebp_cache
+from repro.sim.gebp_cachesim import simulate_gebp_cache
 from repro.sim.timed_executor import run_timed_micro_tile
 from repro.verify.machines import build_chip, random_machine, with_replacement
 
@@ -195,7 +196,7 @@ class TestWarmMemoEviction:
         at a time, never the recently-touched hot entry (the old
         wholesale clear() nuked every snapshot at the 33rd shape)."""
         from repro.obs import MetricsRegistry
-        from repro.sim import gebp_cachesim as gc
+        from repro.memory import replay as rp
 
         spec = VARIANTS["OpenBLAS-4x4"]
         blk = CacheBlocking(
@@ -212,19 +213,19 @@ class TestWarmMemoEviction:
         clear_warm_memo()
         try:
             hot = point(0)
-            (hot_key,) = gc._WARM_MEMO.keys()
+            (hot_key,) = rp._WARM_MEMO.keys()
             metrics = MetricsRegistry()
-            distinct = gc._WARM_MEMO.limit + 8
+            distinct = rp._WARM_MEMO.limit + 8
             for seed in range(1, distinct + 1):
                 point(seed, metrics=metrics)  # install a cold shape
                 point(0, metrics=metrics)     # keep the hot one recent
             counters = metrics.as_dict()["counters"]
             # The hot entry survived every eviction round and was
             # restored (not recomputed) on every touch.
-            assert hot_key in gc._WARM_MEMO
+            assert hot_key in rp._WARM_MEMO
             assert counters["cachesim.warm_restores"] >= distinct
             assert counters["cachesim.warm_evictions"] >= 8
-            assert len(gc._WARM_MEMO) <= gc._WARM_MEMO.limit
+            assert len(rp._WARM_MEMO) <= rp._WARM_MEMO.limit
             # And restoring it still reproduces the cold-start result.
             assert point(0) == hot
         finally:

@@ -13,10 +13,12 @@ import pytest
 from repro.arch.presets import XGENE, get_preset
 from repro.blocking.cache_blocking import CacheBlocking
 from repro.cli import main
+from repro.engines import cache_engine
 from repro.errors import SimulationError
 from repro.gemm import dgemm
 from repro.isa.instructions import Str
 from repro.isa.registers import VReg, XReg
+from repro.memory import MemoryHierarchy
 from repro.memory.cache import CODE_LOAD, CODE_STORE
 from repro.obs import validate_report
 from repro.workloads import (
@@ -135,6 +137,37 @@ class TestStencilMachineFaces:
         assert batched == scalar
         assert batched.l1_loads == batched.trace_records * 5 // 6
 
+    def test_caller_owned_hierarchy_matches_fresh(self):
+        wl = self._workload()
+        fresh = simulate_workload_cache(wl, XGENE, seed=0)
+        owned = simulate_workload_cache(
+            wl, XGENE, hierarchy=MemoryHierarchy(XGENE, seed=0)
+        )
+        assert owned == fresh
+
+    def test_sim_does_not_import_workloads(self):
+        """The shared replay driver lives in ``repro.memory``: were
+        ``repro.sim`` to import the ``repro.workloads`` package, threads
+        lazily importing ``repro.sim.gemm_sim`` and
+        ``repro.workloads.exhibit`` at once (the serve executors) could
+        deadlock on module locks and see a partly initialized module."""
+        import subprocess
+        import sys
+
+        code = "import sys, repro.sim; print('repro.workloads' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
+
+    def test_replay_leaves_warm_memo_untouched(self):
+        from repro.memory import replay as rp
+
+        rp.clear_warm_memo()
+        simulate_workload_cache(self._workload(), XGENE, seed=0)
+        assert len(rp._WARM_MEMO) == 0
+
     def test_timed_compiled_equals_interpreted(self):
         wl = self._workload()
         compiled = timed_workload(wl, XGENE, engine="compiled", seed=0)
@@ -152,6 +185,8 @@ class TestStencilMachineFaces:
             simulate_workload_cache(wl, XGENE, engine="nope")
         with pytest.raises(SimulationError):
             timed_workload(wl, XGENE, engine="nope")
+        with pytest.raises(SimulationError, match="choose from"):
+            cache_engine("nope")
 
     def test_misaligned_kernel_segments_raise(self):
         class Broken(StencilWorkload):
