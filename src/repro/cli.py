@@ -20,19 +20,28 @@ Exposes the library's main entry points without writing Python::
     repro report out.json                      # render a structured report
     repro report --diff baseline.json out.json # regression comparison
 
+Each subcommand is one :class:`Command` entry of :data:`COMMANDS`: a
+handler, its help text and its argument specs. Options several commands
+share (``--kernel``, ``--machine``, ``--seed``, ``--smoke``,
+``--cache-dir``, the worker-pool size) are defined once below.
+
 All subcommands print plain text and accept ``--json <path>`` to also
 write a structured, schema-versioned :class:`~repro.obs.RunReport`
 (engine selections, metric counters, stat-object snapshots) — the input
-of ``repro report``. ``main`` returns a process exit code so it can be
-unit-tested directly.
+of ``repro report``. Handlers return an :class:`Outcome`; :func:`main`
+alone writes the report and turns a :class:`~repro.errors.ReproError`
+into ``error: ...`` with exit code 1. ``main`` returns a process exit
+code so it can be unit-tested directly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro._version import __version__
 from repro.analysis.report import format_series, format_table
@@ -47,34 +56,52 @@ from repro.sim.gemm_sim import GemmSimulator
 from repro.sim.microbench import run_microbench
 
 
-def _wants_report(args: argparse.Namespace) -> bool:
-    return bool(getattr(args, "json", None))
+@dataclass
+class Outcome:
+    """A finished run: its exit code and the sections of its RunReport."""
+
+    params: Dict[str, Any]
+    stats: Dict[str, Any]
+    engines: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    code: int = 0
 
 
-def _emit_report(
-    args: argparse.Namespace,
-    command: str,
-    params: Dict[str, Any],
-    engines: Optional[Dict[str, Dict[str, Any]]] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    stats: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a validated RunReport to ``args.json`` when requested."""
-    if not _wants_report(args):
-        return
-    report = RunReport(
-        command=command,
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        params=params,
-        engines=engines or {},
-        metrics=metrics.as_dict() if metrics is not None else {},
-        stats=stats or {},
-    )
-    report.write(args.json)
-    print(f"wrote {args.json}")
+#: What a handler returns: an :class:`Outcome`, or a bare exit code for
+#: a run with nothing to report (``verify --list``, ``report``).
+Result = Union[int, Outcome]
+
+#: The registry a handler records into (None unless ``--json`` is given
+#: and the command is metered).
+Metrics = Optional[MetricsRegistry]
 
 
-def _cmd_blocks(args: argparse.Namespace) -> int:
+def _worker_pool(size: int, flag: str):
+    """A context holding a ``size``-thread worker pool, closed on exit.
+
+    Yields None for ``size == 1`` (compute inline); ``flag`` names the
+    option in the error for a size below 1.
+    """
+    from repro.gemm.pool import WorkerPool
+
+    if size < 1:
+        raise ReproError(f"{flag} must be >= 1, got {size}")
+    return WorkerPool(size) if size > 1 else contextlib.nullcontext()
+
+
+def _sizes(args: argparse.Namespace) -> List[int]:
+    """The ``--start`` to ``--stop`` (inclusive) sizes, ``--step`` apart."""
+    if args.step < 1:
+        raise ReproError(f"--step must be >= 1, got {args.step}")
+    sizes = list(range(args.start, args.stop + 1, args.step))
+    if not sizes:
+        raise ReproError(
+            f"empty size range: --start {args.start} is above "
+            f"--stop {args.stop}"
+        )
+    return sizes
+
+
+def _cmd_blocks(args: argparse.Namespace, metrics: Metrics) -> Result:
     chip = XGENE
     if args.mr is None or args.nr is None:
         best = RegisterBlockingProblem.from_core(chip.core).solve()
@@ -86,18 +113,16 @@ def _cmd_blocks(args: argparse.Namespace) -> int:
     blk = solve_cache_blocking(chip, mr, nr, threads=args.threads)
     print(f"cache blocking for {args.threads} thread(s) on {chip.name}: "
           f"{blk}  (k1={blk.k1}, k2={blk.k2}, k3={blk.k3})")
-    _emit_report(
-        args, "blocks",
+    return Outcome(
         params={"mr": mr, "nr": nr, "threads": args.threads},
         stats={"blocking": {
             "mr": blk.mr, "nr": blk.nr, "kc": blk.kc, "mc": blk.mc,
             "nc": blk.nc, "k1": blk.k1, "k2": blk.k2, "k3": blk.k3,
         }},
     )
-    return 0
 
 
-def _cmd_kernel(args: argparse.Namespace) -> int:
+def _cmd_kernel(args: argparse.Namespace, metrics: Metrics) -> Result:
     kernel = get_variant(args.variant, kc=args.kc)
     body = kernel.body
     print(f"// {args.variant}: {len(body)} instructions per body "
@@ -107,8 +132,7 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     print(f"// rotation distance {kernel.plan.min_distance}, "
           f"schedule distance {kernel.schedule.min_load_use_distance}")
     print(body.to_text())
-    _emit_report(
-        args, "kernel",
+    return Outcome(
         params={"variant": args.variant, "kc": args.kc},
         stats={"body": {
             "instructions": len(body),
@@ -119,11 +143,9 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
             "schedule_distance": kernel.schedule.min_load_use_distance,
         }},
     )
-    return 0
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if _wants_report(args) else None
+def _cmd_simulate(args: argparse.Namespace, metrics: Metrics) -> Result:
     sim = GemmSimulator(XGENE, metrics=metrics)
     m = args.m or args.size
     n = args.n or args.size
@@ -139,13 +161,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if name == "bandwidth_floor":
             continue
         print(f"  {name:10s} {cycles / max(total, 1):6.1%} of modeled cycles")
-    _emit_report(
-        args, "simulate",
+    return Outcome(
         params={"kernel": args.kernel, "m": m, "n": n, "k": k,
                 "threads": args.threads},
         engines={"model": {"requested": "analytic", "selected": "analytic",
                            "fallback_reason": None}},
-        metrics=metrics,
         stats={"performance": {
             "cycles": perf.cycles,
             "flops": perf.flops,
@@ -155,10 +175,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "breakdown": dict(perf.breakdown),
         }},
     )
-    return 0
 
 
-def _cmd_microbench(args: argparse.Namespace) -> int:
+def _cmd_microbench(args: argparse.Namespace, metrics: Metrics) -> Result:
     rows = run_microbench()
     print(format_table(
         ["LDR:FMLA", "model %", "paper %"],
@@ -166,8 +185,7 @@ def _cmd_microbench(args: argparse.Namespace) -> int:
          for r in rows],
         title="Table IV ladder",
     ))
-    _emit_report(
-        args, "microbench",
+    return Outcome(
         params={},
         stats={"ladder": {
             r.ratio_label: {
@@ -177,10 +195,9 @@ def _cmd_microbench(args: argparse.Namespace) -> int:
             for r in rows
         }},
     )
-    return 0
 
 
-def _cmd_pool(args: argparse.Namespace) -> int:
+def _cmd_pool(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Exercise the persistent-pool parallel engine on real OS threads.
 
     Times a loop of small-matrix ``parallel_dgemm`` calls under the
@@ -188,12 +205,11 @@ def _cmd_pool(args: argparse.Namespace) -> int:
     pool, then prints the pool's per-thread pack/GEBP counters — the
     engine's observability hook.
     """
-    import time
-
     import numpy as np
 
     from repro.blocking.cache_blocking import CacheBlocking
     from repro.gemm import PoolStats, WorkerPool, parallel_dgemm
+    from repro.obs import snapshot_pool_stats
 
     if args.reps < 1:
         raise ReproError(f"--reps must be >= 1, got {args.reps}")
@@ -239,10 +255,7 @@ def _cmd_pool(args: argparse.Namespace) -> int:
         stats.summary_rows(),
         title="per-thread counters (one call)",
     ))
-    from repro.obs import snapshot_pool_stats
-
-    _emit_report(
-        args, "pool",
+    return Outcome(
         params={"threads": args.threads, "size": args.size,
                 "reps": args.reps},
         engines={"pool": {"requested": "persistent",
@@ -257,10 +270,9 @@ def _cmd_pool(args: argparse.Namespace) -> int:
             },
         },
     )
-    return 0
 
 
-def _cmd_cachesim(args: argparse.Namespace) -> int:
+def _cmd_cachesim(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Replay a GEBP slice through the cache sim, timing both engines.
 
     Runs the scalar oracle and the vectorized batched engine on fresh
@@ -268,9 +280,9 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
     prints throughput plus the Table VII miss-rate view.
     """
     import dataclasses
-    import time
 
     from repro.memory.hierarchy import MemoryHierarchy
+    from repro.obs import snapshot_gebp_cache_result, snapshot_hierarchy
     from repro.sim.gebp_cachesim import gebp_traces, simulate_gebp_cache
 
     sim = GemmSimulator(XGENE)
@@ -282,7 +294,6 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
     line = XGENE.l1d.line_bytes
     accesses = warm.line_count(line) + main_trace.line_count(line)
 
-    metrics = MetricsRegistry() if _wants_report(args) else None
     results = {}
     timings = {}
     hierarchies = {}
@@ -316,30 +327,25 @@ def _cmd_cachesim(args: argparse.Namespace) -> int:
         print(f"warning: {fallback} line accesses took the batched "
               f"engine's per-access scalar fallback (non-LRU replacement "
               f"levels)")
-    from repro.obs import snapshot_gebp_cache_result, snapshot_hierarchy
-
-    _emit_report(
-        args, "cachesim",
+    if not identical:
+        print("error: engines disagree", file=sys.stderr)
+    return Outcome(
         params={"kernel": args.kernel, "threads": args.threads,
                 "nc_slice": args.nc_slice, "seed": args.seed},
         engines={
             e: {"requested": e, "selected": e, "fallback_reason": None}
             for e in results
         },
-        metrics=metrics,
         stats={
             "result": snapshot_gebp_cache_result(r),
             "hierarchy": snapshot_hierarchy(hierarchies["batched"]),
             "identical": identical,
         },
+        code=0 if identical else 1,
     )
-    if not identical:
-        print("error: engines disagree", file=sys.stderr)
-        return 1
-    return 0
 
 
-def _cmd_timed(args: argparse.Namespace) -> int:
+def _cmd_timed(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Timing-functional kernel run, comparing execution engines.
 
     With ``--engine both`` (the default) runs one micro-tile of the
@@ -350,11 +356,10 @@ def _cmd_timed(args: argparse.Namespace) -> int:
     that one — ``auto`` reports when (and why) it fell back to the
     interpreter on a non-compilable kernel.
     """
-    import time
-
     import numpy as np
 
-    metrics = MetricsRegistry() if _wants_report(args) else None
+    from repro.obs import snapshot_timed_run
+
     sim = GemmSimulator(XGENE, metrics=metrics)
     engine_list = (
         ["interpreted", "compiled"]
@@ -409,10 +414,9 @@ def _cmd_timed(args: argparse.Namespace) -> int:
             print(f"warning: {run.batched_fallback_accesses} cache "
                   f"accesses took the per-access scalar fallback inside "
                   f"the {engine} engine's batched hierarchy replay")
-    from repro.obs import snapshot_timed_run
-
-    _emit_report(
-        args, "timed",
+    if not identical:
+        print("error: engines disagree", file=sys.stderr)
+    return Outcome(
         params={"kernel": args.kernel, "kc": kc, "hw_late": args.hw_late,
                 "engine": args.engine, "seed": args.seed},
         engines={
@@ -420,22 +424,17 @@ def _cmd_timed(args: argparse.Namespace) -> int:
                 "fallback_reason": run.fallback_reason}
             for e, run in runs.items()
         },
-        metrics=metrics,
         stats={
             "run": snapshot_timed_run(r),
             "identical": identical,
         },
+        code=0 if identical else 1,
     )
-    if not identical:
-        print("error: engines disagree", file=sys.stderr)
-        return 1
-    return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    metrics = MetricsRegistry() if _wants_report(args) else None
+def _cmd_sweep(args: argparse.Namespace, metrics: Metrics) -> Result:
+    sizes = _sizes(args)
     sim = GemmSimulator(XGENE, metrics=metrics)
-    sizes = list(range(args.start, args.stop + 1, args.step))
     series = []
     for kernel in args.kernels:
         gfs = [
@@ -445,20 +444,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         series.append((kernel, gfs))
     print(format_series(sizes, series, x_label="size",
                         title=f"Gflops vs size ({args.threads} thread(s))"))
-    _emit_report(
-        args, "sweep",
+    return Outcome(
         params={"kernels": list(args.kernels), "threads": args.threads,
                 "start": args.start, "stop": args.stop, "step": args.step},
-        metrics=metrics,
         stats={"gflops": {
             kernel: {str(s): gf for s, gf in zip(sizes, gfs)}
             for kernel, gfs in series
         }},
     )
-    return 0
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
+def _cmd_experiments(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Regenerate every paper exhibit into a results directory."""
     import pathlib
 
@@ -468,8 +464,6 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         fig13_rotation_ablation,
         fig14_scaling,
         fig15_l1_loads,
-        format_series,
-        format_table,
         table1_rotation,
         table3_blocksizes,
         table4_microbench,
@@ -480,9 +474,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         fig12_parallel_sweep,
     )
 
+    sizes = tuple(_sizes(args))
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sizes = tuple(range(args.start, args.stop + 1, args.step))
 
     def save(name: str, text: str) -> None:
         (out / f"{name}.txt").write_text(text + "\n")
@@ -545,18 +539,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         [[k, t, mr * 100, pr * 100] for k, t, mr, pr in table7_miss_rates()],
         title="Table VII"))
     print(f"all exhibits written to {out}/")
-    _emit_report(
-        args, "experiments",
+    return Outcome(
         params={"out": str(out), "start": args.start, "stop": args.stop,
                 "step": args.step},
         stats={"exhibits": {
             p.stem: True for p in sorted(out.glob("*.txt"))
         }},
     )
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Differential verification: fuzz sweep, self-test, case replay.
 
     The default mode runs a seeded sweep of every selected oracle plus
@@ -582,22 +574,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 0
 
     if args.replay is not None:
-        outcome = replay_case(args.replay)
-        status = "PASS" if outcome.ok else "FAIL"
-        print(f"{args.replay}: oracle {outcome.oracle} -> {status}")
-        for mismatch in outcome.mismatches[:10]:
+        case = replay_case(args.replay)
+        status = "PASS" if case.ok else "FAIL"
+        print(f"{args.replay}: oracle {case.oracle} -> {status}")
+        for mismatch in case.mismatches[:10]:
             print(f"  {mismatch}")
-        _emit_report(
-            args, "verify",
-            params={"replay": str(args.replay), "oracle": outcome.oracle},
+        return Outcome(
+            params={"replay": str(args.replay), "oracle": case.oracle},
             stats={"verify": {
                 "replay": str(args.replay),
-                "oracle": outcome.oracle,
-                "passed": outcome.ok,
-                "mismatches": outcome.mismatches[:10],
+                "oracle": case.oracle,
+                "passed": case.ok,
+                "mismatches": case.mismatches[:10],
             }},
+            code=0 if case.ok else 1,
         )
-        return 0 if outcome.ok else 1
 
     doc = run_suite(
         seed=args.seed,
@@ -633,13 +624,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"mutation self-test: "
               f"{'fault caught by every oracle' if caught else 'FAILED'}")
     print(f"verify: {'PASS' if doc['passed'] else 'FAIL'}")
-    _emit_report(
-        args, "verify",
+    return Outcome(
         params={"suite": args.suite, "seed": args.seed,
                 "budget": args.budget},
         stats={"verify": doc},
+        code=0 if doc["passed"] else 1,
     )
-    return 0 if doc["passed"] else 1
 
 
 def _load_batch(path: str) -> List[Dict[str, Any]]:
@@ -671,18 +661,7 @@ def _load_batch(path: str) -> List[Dict[str, Any]]:
             fh.close()
 
 
-def _serve_engine(args: argparse.Namespace, metrics):
-    """A QueryEngine (and its pool, or None) per the CLI options."""
-    from repro.gemm.pool import WorkerPool
-    from repro.serve import QueryEngine
-
-    if args.threads < 1:
-        raise ReproError(f"--threads must be >= 1, got {args.threads}")
-    pool = WorkerPool(args.threads) if args.threads > 1 else None
-    return QueryEngine(args.cache_dir, pool=pool, metrics=metrics), pool
-
-
-def _cmd_query(args: argparse.Namespace) -> int:
+def _cmd_query(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Serve a batch of query documents through the memoized engine.
 
     Reads one JSON query per line from ``--batch``, answers each from
@@ -693,16 +672,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
     exits nonzero unless every query was served from the cache — the
     hook CI uses to prove cache persistence across process runs.
     """
+    from repro.serve import QueryEngine
+
     docs = _load_batch(args.batch)
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    engine, pool = _serve_engine(args, metrics)
-    try:
+    with _worker_pool(args.threads, "--threads") as pool:
+        engine = QueryEngine(args.cache_dir, pool=pool, metrics=metrics)
         t0 = time.perf_counter()
         answers = engine.run_batch(docs)
         elapsed = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.close()
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         for answer in answers:
@@ -719,11 +696,16 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"{args.threads} thread(s)]",
         file=sys.stderr,
     )
-    _emit_report(
-        args, "query",
+    missed = args.expect_all_hits and s.hits != s.queries
+    if missed:
+        print(
+            f"error: expected all {s.queries} queries to hit the cache, "
+            f"got {s.hits} hits",
+            file=sys.stderr,
+        )
+    return Outcome(
         params={"batch": args.batch, "cache_dir": args.cache_dir,
                 "threads": args.threads},
-        metrics=metrics,
         stats={
             "serve": s.as_dict(),
             "timing": {
@@ -731,31 +713,20 @@ def _cmd_query(args: argparse.Namespace) -> int:
                 "queries_per_second": rate,
             },
         },
+        code=1 if missed else 0,
     )
-    if args.expect_all_hits and s.hits != s.queries:
-        print(
-            f"error: expected all {s.queries} queries to hit the cache, "
-            f"got {s.hits} hits",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Pre-warm the result cache with a preset's standing query set."""
-    from repro.serve import ResultStore, warm_queries
+    from repro.serve import QueryEngine, ResultStore, warm_queries
 
     docs = warm_queries(args.warm)
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    engine, pool = _serve_engine(args, metrics)
-    try:
+    with _worker_pool(args.threads, "--threads") as pool:
+        engine = QueryEngine(args.cache_dir, pool=pool, metrics=metrics)
         t0 = time.perf_counter()
         engine.run_batch(docs)
         elapsed = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.close()
     s = engine.stats
     store = engine.store if isinstance(engine.store, ResultStore) else None
     print(f"warmed preset {args.warm!r}: {s.queries} queries in "
@@ -764,11 +735,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"cache {args.cache_dir}: {len(store)} entries, "
               f"{store.bytes_held()} bytes")
-    _emit_report(
-        args, "serve",
+    return Outcome(
         params={"warm": args.warm, "cache_dir": args.cache_dir,
                 "threads": args.threads},
-        metrics=metrics,
         stats={
             "serve": s.as_dict(),
             "timing": {"elapsed_seconds": elapsed},
@@ -777,13 +746,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "bytes": store.bytes_held() if store is not None else 0,
             },
         },
+        code=1 if s.errors else 0,
     )
-    return 1 if s.errors else 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
+def _cmd_tune(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Run the two-stage kernel search with persistent memoization."""
-    from repro.gemm.pool import WorkerPool
     from repro.serve import ResultStore
     from repro.tune import tune_search
 
@@ -792,10 +760,8 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         args.max_tiles = min(args.max_tiles, 3)
         args.radius = min(args.radius, 1)
         args.seed = 0
-    metrics = MetricsRegistry() if _wants_report(args) else None
-    store = ResultStore(args.cache_dir) if args.cache_dir else None
-    pool = WorkerPool(args.pool) if args.pool > 1 else None
-    try:
+    with _worker_pool(args.pool, "--pool") as pool:
+        store = ResultStore(args.cache_dir) if args.cache_dir else None
         t0 = time.perf_counter()
         result = tune_search(
             machine=args.machine,
@@ -811,9 +777,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             metrics=metrics,
         )
         elapsed = time.perf_counter() - t0
-    finally:
-        if pool is not None:
-            pool.close()
     win = result["winner"]
     cand = win["candidate"]
     space = result["space"]
@@ -832,15 +795,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
           f"(prune {result['stats']['prune_ratio']:.1f}x)")
     print(f"  memo: {hits} hits, {misses} computed"
           + (f" ({args.cache_dir})" if args.cache_dir else " (no store)"))
-    _emit_report(
-        args, "tune",
+    return Outcome(
         params=dict(result["params"],
                     cache_dir=args.cache_dir or None, pool=args.pool),
         engines={
             "analytic": {"selected": "gemm-sim", "fallback_reason": None},
             "timed": {"selected": "compiled", "fallback_reason": None},
         },
-        metrics=metrics,
         stats={
             "space": space,
             "prune_ratio": result["stats"]["prune_ratio"],
@@ -850,10 +811,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             "timing": {"elapsed_seconds": elapsed},
         },
     )
-    return 0
 
 
-def _cmd_asym(args: argparse.Namespace) -> int:
+def _cmd_asym(args: argparse.Namespace, metrics: Metrics) -> Result:
     """The asymmetric-chip exhibit: class-aware partition + energy.
 
     Prices every placement of interest (each core class alone, all
@@ -882,13 +842,11 @@ def _cmd_asym(args: argparse.Namespace) -> int:
         ))
         print(f"  weighted speedup over symmetric: "
               f"{entry['weighted_speedup']:.3f}x")
-    _emit_report(
-        args, "asym",
+    return Outcome(
         params={"machine": args.machine, "kernel": args.kernel,
                 "smoke": args.smoke},
         stats=doc,
     )
-    return 0
 
 
 def _workload_variant_rows(variants: Dict[str, Any]) -> List[List[Any]]:
@@ -900,7 +858,7 @@ def _workload_variant_rows(variants: Dict[str, Any]) -> List[List[Any]]:
     ]
 
 
-def _cmd_stencil(args: argparse.Namespace) -> int:
+def _cmd_stencil(args: argparse.Namespace, metrics: Metrics) -> Result:
     """The stencil exhibit: cache-blocked vs unblocked Jacobi sweeps.
 
     Proves the variants bit-identical, then prints the Table VII-style
@@ -928,15 +886,14 @@ def _cmd_stencil(args: argparse.Namespace) -> int:
     print(f"  unblocked/blocked miss-rate ratio: "
           f"{doc['miss_rate_ratio']:.3f}x")
     print(f"  blocked speedup: {doc['speedup']:.3f}x")
-    _emit_report(
-        args, "stencil",
+    return Outcome(
         params={"machine": args.machine, **p},
         stats=doc,
+        code=0 if doc["bit_identical"] else 1,
     )
-    return 0 if doc["bit_identical"] else 1
 
 
-def _cmd_conv(args: argparse.Namespace) -> int:
+def _cmd_conv(args: argparse.Namespace, metrics: Metrics) -> Result:
     """The convolution exhibit: direct vs im2col lowering.
 
     Both lowerings drive the identical GEBP stream; im2col pays the
@@ -969,21 +926,21 @@ def _cmd_conv(args: argparse.Namespace) -> int:
           f"vs unblocked: {doc['bit_identical_unblocked']}")
     print(f"  im2col/direct DRAM ratio: {doc['dram_ratio']:.3f}x")
     print(f"  direct speedup: {doc['speedup']:.3f}x")
-    _emit_report(
-        args, "conv",
+    return Outcome(
         params={"machine": args.machine, **p},
         stats=doc,
+        code=0 if ok else 1,
     )
-    return 0 if ok else 1
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace, metrics: Metrics) -> Result:
     """Render, validate, or diff structured run reports.
 
     ``repro report out.json`` renders a report; ``--validate`` checks it
     against the schema only; ``--diff BASELINE CURRENT`` runs the
     regression comparator and exits nonzero on regressions (suppress
-    with ``--warn-only``).
+    with ``--warn-only``). With ``--diff``, ``--json`` writes the
+    findings document instead of a RunReport.
     """
     import json
 
@@ -1070,6 +1027,261 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+#: One argument spec: the flags and the keyword arguments of
+#: ``ArgumentParser.add_argument``.
+Arg = Tuple[Tuple[str, ...], Dict[str, Any]]
+
+
+def _arg(*flags: str, **kwargs: Any) -> Arg:
+    return flags, kwargs
+
+
+# Options several subcommands share, each defined once.
+_KERNEL_CHOICES = sorted(VARIANTS)
+_KERNEL = _arg("--kernel", default="OpenBLAS-8x6", choices=_KERNEL_CHOICES)
+_THREADS = _arg("--threads", type=int, default=1)
+
+
+def _machine(default: str = "xgene",
+             help: str = "machine preset to model") -> Arg:
+    return _arg("--machine", default=default, choices=list(preset_names()),
+                help=help)
+
+
+def _seed(help: Optional[str] = None) -> Arg:
+    return _arg("--seed", type=int, default=0, help=help)
+
+
+def _smoke(help: str) -> Arg:
+    return _arg("--smoke", action="store_true", help=help)
+
+
+def _cache_dir(help: str = "result-store directory (created on demand)"
+               ) -> Arg:
+    return _arg("--cache-dir", default=".repro-cache", help=help)
+
+
+def _pool_size(flag: str, default: int, help: str) -> Arg:
+    """The worker-pool size option (opened through :func:`_worker_pool`)."""
+    return _arg(flag, type=int, default=default, help=help)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its handler, help text and argument specs.
+
+    ``metered`` handlers receive a :class:`~repro.obs.MetricsRegistry`
+    when ``--json`` is given (None otherwise); the rest always get None
+    and report an empty ``metrics`` section.
+    """
+
+    name: str
+    handler: Callable[[argparse.Namespace, Metrics], Result]
+    help: str
+    args: Tuple[Arg, ...] = ()
+    metered: bool = False
+
+
+COMMANDS: Tuple[Command, ...] = (
+    Command("blocks", _cmd_blocks, "derive block sizes analytically", (
+        _arg("--mr", type=int, default=None),
+        _arg("--nr", type=int, default=None),
+        _THREADS,
+    )),
+    Command("kernel", _cmd_kernel, "emit register-kernel assembly", (
+        _arg("--variant", default="OpenBLAS-8x6", choices=_KERNEL_CHOICES),
+        _arg("--kc", type=int, default=512),
+    )),
+    Command("simulate", _cmd_simulate, "predict DGEMM performance", (
+        _KERNEL,
+        _arg("--size", type=int, default=2048),
+        _arg("-m", type=int, default=None),
+        _arg("-n", type=int, default=None),
+        _arg("-k", type=int, default=None),
+        _THREADS,
+    ), metered=True),
+    Command("microbench", _cmd_microbench, "the Table IV LDR:FMLA ladder"),
+    Command(
+        "experiments", _cmd_experiments,
+        "regenerate every paper table/figure into a directory", (
+            _arg("--out", default="results"),
+            _arg("--start", type=int, default=256),
+            _arg("--stop", type=int, default=6400),
+            _arg("--step", type=int, default=512),
+        )),
+    Command(
+        "pool", _cmd_pool,
+        "time the persistent worker pool vs per-iteration spawning "
+        "and show per-thread counters", (
+            _arg("--threads", type=int, default=4),
+            _arg("--size", type=int, default=160),
+            _arg("--reps", type=int, default=10),
+        )),
+    Command(
+        "cachesim", _cmd_cachesim,
+        "event-accurate GEBP cache replay; times scalar vs batched "
+        "engines and checks them bit-identical", (
+            _KERNEL,
+            _THREADS,
+            _arg("--nc-slice", type=int, default=None),
+            _seed("RANDOM-replacement victim RNG seed"),
+        ), metered=True),
+    Command(
+        "timed", _cmd_timed,
+        "timing-functional kernel run; times interpreted vs "
+        "compiled engines and checks them bit-identical", (
+            _KERNEL,
+            _arg("--kc", type=int, default=None),
+            _arg("--hw-late", type=float, default=0.25),
+            _arg("--engine", default="both",
+                 choices=["both", *TIMED_ENGINES],
+                 help="run both engines and cross-check (default), or "
+                      "a single one; 'auto' reports its fallback reason"),
+            _seed("operand RNG seed"),
+        ), metered=True),
+    Command("sweep", _cmd_sweep, "Gflops vs matrix size", (
+        _arg("--kernels", nargs="+", default=["OpenBLAS-8x6", "ATLAS-5x5"],
+             choices=_KERNEL_CHOICES),
+        _THREADS,
+        _arg("--start", type=int, default=256),
+        _arg("--stop", type=int, default=4096),
+        _arg("--step", type=int, default=512),
+    ), metered=True),
+    Command(
+        "verify", _cmd_verify,
+        "differential fuzz sweep of every fast/reference engine "
+        "pair, with mutation self-test and case replay", (
+            _arg("--suite", default="all",
+                 help="oracle suite to run ('all', or one of the "
+                      "registered suites; see --list)"),
+            _seed("top-level seed deterministically deriving every "
+                  "per-oracle case stream"),
+            _arg("--budget", default="default",
+                 choices=["smoke", "default", "deep"],
+                 help="cases per oracle"),
+            _arg("--replay", metavar="FILE", default=None,
+                 help="re-run one committed case file instead of "
+                      "sweeping"),
+            _arg("--cases-dir", default="tests/cases",
+                 help="where shrunk repro files for new failures are "
+                      "written"),
+            _arg("--no-selftest", action="store_true",
+                 help="skip the comparator mutation self-test"),
+            _arg("--list", action="store_true",
+                 help="print the oracle registry and exit"),
+        )),
+    Command(
+        "query", _cmd_query,
+        "serve JSONL query documents from the memoized result "
+        "cache, computing misses concurrently on the worker pool", (
+            _arg("--batch", metavar="FILE", required=True,
+                 help="JSONL file with one query document per line "
+                      "('-' reads stdin)"),
+            _cache_dir(),
+            _pool_size("--threads", 4,
+                       "worker-pool size for computing cache misses "
+                       "(1 = compute inline)"),
+            _arg("--out", metavar="FILE", default=None,
+                 help="write the answer stream here instead of stdout"),
+            _arg("--expect-all-hits", action="store_true",
+                 help="exit nonzero unless every query was served "
+                      "from the cache"),
+        ), metered=True),
+    Command(
+        "serve", _cmd_serve,
+        "pre-warm the result cache with a machine preset's "
+        "standing query set", (
+            _arg("--warm", default="all",
+                 choices=list(preset_names()) + ["all"],
+                 help="which preset's warm query set to compute"),
+            _cache_dir(),
+            _pool_size("--threads", 4,
+                       "worker-pool size for computing cache misses"),
+        ), metered=True),
+    Command(
+        "tune", _cmd_tune,
+        "search register tiles, rotation schemes, schedules and "
+        "blockings with the two-stage memoized autotuner", (
+            _machine(help="machine preset to tune for"),
+            _arg("--threads", type=int, default=1,
+                 help="thread count the blocking solver targets"),
+            _arg("--problem-size", type=int, default=2048,
+                 help="square DGEMM size the analytic stage prices"),
+            _arg("--max-tiles", type=int, default=4,
+                 help="top-gamma register tiles to enumerate"),
+            _arg("--top-k", type=int, default=12,
+                 help="analytic classes surviving into the timed stage"),
+            _arg("--radius", type=int, default=1,
+                 help="blocking-neighborhood radius per axis"),
+            _arg("--bodies", type=int, default=2,
+                 help="unrolled bodies per timed panel depth"),
+            _seed("enumeration-order and timed-operand seed"),
+            _pool_size("--pool", 1,
+                       "worker-pool size for cache-missing evaluations "
+                       "(1 = compute inline)"),
+            _cache_dir("result-store directory for memoized evaluations "
+                       "('' disables persistence)"),
+            _smoke("tiny fixed-seed budget for CI"),
+        ), metered=True),
+    Command(
+        "asym", _cmd_asym,
+        "asymmetric-chip exhibit: class-aware partition vs the "
+        "symmetric split, with the energy frontier", (
+            _machine(default="big_little"),
+            _KERNEL,
+            _smoke("single-size CI budget"),
+        )),
+    Command(
+        "stencil", _cmd_stencil,
+        "stencil exhibit: cache-blocked vs unblocked Jacobi sweeps "
+        "through the cache walk and the timed scoreboard", (
+            _machine(),
+            _arg("--height", type=int, default=None,
+                 help="grid rows (default 64, 32 with --smoke)"),
+            _arg("--width", type=int, default=None,
+                 help="grid columns (default 2048)"),
+            _arg("--radius", type=int, default=1),
+            _arg("--iterations", type=int, default=2,
+                 help="Jacobi sweeps"),
+            _seed(),
+            _smoke("narrow-grid CI budget"),
+        )),
+    Command(
+        "conv", _cmd_conv,
+        "convolution exhibit: direct gather nest vs im2col + DGEMM "
+        "at the solved blocking", (
+            _machine(),
+            _arg("--cin", type=int, default=None,
+                 help="input channels (default 3, 1 with --smoke)"),
+            _arg("--height", type=int, default=None,
+                 help="image rows (default 34, 18 with --smoke)"),
+            _arg("--width", type=int, default=None,
+                 help="image columns (default 34, 18 with --smoke)"),
+            _arg("--kh", type=int, default=3, help="filter rows"),
+            _arg("--kw", type=int, default=3, help="filter columns"),
+            _arg("--filters", type=int, default=None,
+                 help="output channels (default 16, 8 with --smoke)"),
+            _seed(),
+            _smoke("small-image CI budget"),
+        )),
+    Command(
+        "report", _cmd_report,
+        "render, validate, or diff structured run reports", (
+            _arg("path", nargs="?", default=None,
+                 help="report file to render"),
+            _arg("--validate", action="store_true",
+                 help="only check the file against the schema"),
+            _arg("--diff", nargs=2, metavar=("BASELINE", "CURRENT"),
+                 default=None,
+                 help="compare two reports; exit nonzero on regressions"),
+            _arg("--tolerance", type=float, default=0.05,
+                 help="relative tolerance for float comparisons"),
+            _arg("--warn-only", action="store_true",
+                 help="report regressions but exit 0"),
+        )),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1077,292 +1289,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_json(p: argparse.ArgumentParser) -> None:
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for flags, kwargs in command.args:
+            p.add_argument(*flags, **kwargs)
         p.add_argument(
             "--json", metavar="PATH", default=None,
             help="also write a structured RunReport document to PATH",
         )
-
-    p = sub.add_parser("blocks", help="derive block sizes analytically")
-    p.add_argument("--mr", type=int, default=None)
-    p.add_argument("--nr", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    add_json(p)
-    p.set_defaults(func=_cmd_blocks)
-
-    p = sub.add_parser("kernel", help="emit register-kernel assembly")
-    p.add_argument("--variant", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
-    p.add_argument("--kc", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_kernel)
-
-    p = sub.add_parser("simulate", help="predict DGEMM performance")
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
-    p.add_argument("--size", type=int, default=2048)
-    p.add_argument("-m", type=int, default=None)
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-k", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
-    add_json(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("microbench", help="the Table IV LDR:FMLA ladder")
-    add_json(p)
-    p.set_defaults(func=_cmd_microbench)
-
-    p = sub.add_parser(
-        "experiments",
-        help="regenerate every paper table/figure into a directory",
-    )
-    p.add_argument("--out", default="results")
-    p.add_argument("--start", type=int, default=256)
-    p.add_argument("--stop", type=int, default=6400)
-    p.add_argument("--step", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_experiments)
-
-    p = sub.add_parser(
-        "pool",
-        help="time the persistent worker pool vs per-iteration spawning "
-             "and show per-thread counters",
-    )
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--size", type=int, default=160)
-    p.add_argument("--reps", type=int, default=10)
-    add_json(p)
-    p.set_defaults(func=_cmd_pool)
-
-    p = sub.add_parser(
-        "cachesim",
-        help="event-accurate GEBP cache replay; times scalar vs batched "
-             "engines and checks them bit-identical",
-    )
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--nc-slice", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0,
-                   help="RANDOM-replacement victim RNG seed")
-    add_json(p)
-    p.set_defaults(func=_cmd_cachesim)
-
-    p = sub.add_parser(
-        "timed",
-        help="timing-functional kernel run; times interpreted vs "
-             "compiled engines and checks them bit-identical",
-    )
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
-    p.add_argument("--kc", type=int, default=None)
-    p.add_argument("--hw-late", type=float, default=0.25)
-    p.add_argument("--engine", default="both",
-                   choices=["both", *TIMED_ENGINES],
-                   help="run both engines and cross-check (default), or "
-                        "a single one; 'auto' reports its fallback reason")
-    p.add_argument("--seed", type=int, default=0,
-                   help="operand RNG seed")
-    add_json(p)
-    p.set_defaults(func=_cmd_timed)
-
-    p = sub.add_parser("sweep", help="Gflops vs matrix size")
-    p.add_argument("--kernels", nargs="+",
-                   default=["OpenBLAS-8x6", "ATLAS-5x5"],
-                   choices=sorted(VARIANTS))
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--start", type=int, default=256)
-    p.add_argument("--stop", type=int, default=4096)
-    p.add_argument("--step", type=int, default=512)
-    add_json(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser(
-        "verify",
-        help="differential fuzz sweep of every fast/reference engine "
-             "pair, with mutation self-test and case replay",
-    )
-    p.add_argument("--suite", default="all",
-                   help="oracle suite to run ('all', or one of the "
-                        "registered suites; see --list)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="top-level seed deterministically deriving every "
-                        "per-oracle case stream")
-    p.add_argument("--budget", default="default",
-                   choices=["smoke", "default", "deep"],
-                   help="cases per oracle")
-    p.add_argument("--replay", metavar="FILE", default=None,
-                   help="re-run one committed case file instead of "
-                        "sweeping")
-    p.add_argument("--cases-dir", default="tests/cases",
-                   help="where shrunk repro files for new failures are "
-                        "written")
-    p.add_argument("--no-selftest", action="store_true",
-                   help="skip the comparator mutation self-test")
-    p.add_argument("--list", action="store_true",
-                   help="print the oracle registry and exit")
-    add_json(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser(
-        "query",
-        help="serve JSONL query documents from the memoized result "
-             "cache, computing misses concurrently on the worker pool",
-    )
-    p.add_argument("--batch", metavar="FILE", required=True,
-                   help="JSONL file with one query document per line "
-                        "('-' reads stdin)")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result-store directory (created on demand)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="worker-pool size for computing cache misses "
-                        "(1 = compute inline)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write the answer stream here instead of stdout")
-    p.add_argument("--expect-all-hits", action="store_true",
-                   help="exit nonzero unless every query was served "
-                        "from the cache")
-    add_json(p)
-    p.set_defaults(func=_cmd_query)
-
-    p = sub.add_parser(
-        "serve",
-        help="pre-warm the result cache with a machine preset's "
-             "standing query set",
-    )
-    p.add_argument("--warm", default="all",
-                   choices=list(preset_names()) + ["all"],
-                   help="which preset's warm query set to compute")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result-store directory (created on demand)")
-    p.add_argument("--threads", type=int, default=4,
-                   help="worker-pool size for computing cache misses")
-    add_json(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "tune",
-        help="search register tiles, rotation schemes, schedules and "
-             "blockings with the two-stage memoized autotuner",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to tune for")
-    p.add_argument("--threads", type=int, default=1,
-                   help="thread count the blocking solver targets")
-    p.add_argument("--problem-size", type=int, default=2048,
-                   help="square DGEMM size the analytic stage prices")
-    p.add_argument("--max-tiles", type=int, default=4,
-                   help="top-gamma register tiles to enumerate")
-    p.add_argument("--top-k", type=int, default=12,
-                   help="analytic classes surviving into the timed stage")
-    p.add_argument("--radius", type=int, default=1,
-                   help="blocking-neighborhood radius per axis")
-    p.add_argument("--bodies", type=int, default=2,
-                   help="unrolled bodies per timed panel depth")
-    p.add_argument("--seed", type=int, default=0,
-                   help="enumeration-order and timed-operand seed")
-    p.add_argument("--pool", type=int, default=1,
-                   help="worker-pool size for cache-missing evaluations "
-                        "(1 = compute inline)")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result-store directory for memoized evaluations "
-                        "('' disables persistence)")
-    p.add_argument("--smoke", action="store_true",
-                   help="tiny fixed-seed budget for CI")
-    add_json(p)
-    p.set_defaults(func=_cmd_tune)
-
-    p = sub.add_parser(
-        "asym",
-        help="asymmetric-chip exhibit: class-aware partition vs the "
-             "symmetric split, with the energy frontier",
-    )
-    p.add_argument("--machine", default="big_little",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
-    p.add_argument("--kernel", default="OpenBLAS-8x6",
-                   choices=sorted(VARIANTS))
-    p.add_argument("--smoke", action="store_true",
-                   help="single-size CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_asym)
-
-    p = sub.add_parser(
-        "stencil",
-        help="stencil exhibit: cache-blocked vs unblocked Jacobi sweeps "
-             "through the cache walk and the timed scoreboard",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
-    p.add_argument("--height", type=int, default=None,
-                   help="grid rows (default 64, 32 with --smoke)")
-    p.add_argument("--width", type=int, default=None,
-                   help="grid columns (default 2048)")
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--iterations", type=int, default=2,
-                   help="Jacobi sweeps")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smoke", action="store_true",
-                   help="narrow-grid CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_stencil)
-
-    p = sub.add_parser(
-        "conv",
-        help="convolution exhibit: direct gather nest vs im2col + DGEMM "
-             "at the solved blocking",
-    )
-    p.add_argument("--machine", default="xgene",
-                   choices=list(preset_names()),
-                   help="machine preset to model")
-    p.add_argument("--cin", type=int, default=None,
-                   help="input channels (default 3, 1 with --smoke)")
-    p.add_argument("--height", type=int, default=None,
-                   help="image rows (default 34, 18 with --smoke)")
-    p.add_argument("--width", type=int, default=None,
-                   help="image columns (default 34, 18 with --smoke)")
-    p.add_argument("--kh", type=int, default=3, help="filter rows")
-    p.add_argument("--kw", type=int, default=3, help="filter columns")
-    p.add_argument("--filters", type=int, default=None,
-                   help="output channels (default 16, 8 with --smoke)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--smoke", action="store_true",
-                   help="small-image CI budget")
-    add_json(p)
-    p.set_defaults(func=_cmd_conv)
-
-    p = sub.add_parser(
-        "report",
-        help="render, validate, or diff structured run reports",
-    )
-    p.add_argument("path", nargs="?", default=None,
-                   help="report file to render")
-    p.add_argument("--validate", action="store_true",
-                   help="only check the file against the schema")
-    p.add_argument("--diff", nargs=2, metavar=("BASELINE", "CURRENT"),
-                   default=None,
-                   help="compare two reports; exit nonzero on regressions")
-    p.add_argument("--tolerance", type=float, default=0.05,
-                   help="relative tolerance for float comparisons")
-    p.add_argument("--warn-only", action="store_true",
-                   help="report regressions but exit 0")
-    add_json(p)
-    p.set_defaults(func=_cmd_report)
+        p.set_defaults(entry=command)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    entry: Command = args.entry
+    metrics = MetricsRegistry() if args.json and entry.metered else None
     try:
-        return args.func(args)
+        outcome = entry.handler(args, metrics)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if isinstance(outcome, int):
+        return outcome
+    if args.json:
+        RunReport(
+            command=entry.name,
+            created=time.strftime("%Y-%m-%dT%H:%M:%S"),
+            params=outcome.params,
+            engines=outcome.engines,
+            metrics=metrics.as_dict() if metrics is not None else {},
+            stats=outcome.stats,
+        ).write(args.json)
+        print(f"wrote {args.json}")
+    return outcome.code
 
 
 if __name__ == "__main__":

@@ -114,10 +114,6 @@ class MemoryHierarchy:
         # Weak references: the hierarchy must not keep a dead prefetcher
         # (or its install closure over this hierarchy) alive.
         self._prefetchers: "weakref.WeakSet" = weakref.WeakSet()
-        # Observability hook: when set to a MetricsRegistry, the batched
-        # replay paths record access/DRAM counters and span timings into
-        # it. None (the default) keeps the hot paths entirely branch-cheap.
-        self.metrics = None
 
     def _cache_rng(self, index: int) -> Optional[random.Random]:
         """The per-cache victim RNG for position ``index`` (see ``seed``)."""
@@ -321,13 +317,6 @@ class MemoryHierarchy:
         served_at[dram_idx] = len(levels) + 1
         return served_at[demand], tlb_penalty
 
-    def _count_replay(self, accesses: int, to_dram: int, latency: int) -> None:
-        m = self.metrics
-        m.inc("hierarchy.batched_replays")
-        m.inc("hierarchy.demand_line_accesses", accesses)
-        m.inc("hierarchy.dram_line_accesses", to_dram)
-        m.inc("hierarchy.latency_cycles", latency)
-
     def run_batch(self, core: int, trace: "BatchTrace") -> "TraceCost":
         """Replay a :class:`~repro.memory.batch.BatchTrace` on ``core``.
 
@@ -349,9 +338,6 @@ class MemoryHierarchy:
         latency = int(counts @ self._latency_of)
         if tlb_penalty is not None:
             latency += int(tlb_penalty.sum())
-        # A trace that touches no line is not counted as a replay here.
-        if self.metrics is not None and trace.line_count(self.dram_line_bytes):
-            self._count_replay(served.size, int(counts[dram_level]), latency)
         return TraceCost(
             accesses=int(served.size),
             latency_cycles=latency,
@@ -376,13 +362,6 @@ class MemoryHierarchy:
         latencies = self._latency_of[served]
         if tlb_penalty is not None:
             latencies += tlb_penalty
-        if self.metrics is not None:
-            dram_level = len(self._latency_of) - 1
-            self._count_replay(
-                served.size,
-                int(np.count_nonzero(served == dram_level)),
-                int(latencies.sum()),
-            )
         return served.astype(np.int64), latencies
 
     # -- prefetchers --------------------------------------------------------

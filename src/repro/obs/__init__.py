@@ -21,13 +21,7 @@ from repro.obs.baselines import (
     format_comparison,
     load_report_dict,
 )
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-    Span,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, Span
 from repro.obs.run_report import (
     SCHEMA_VERSION,
     RunReport,
@@ -47,8 +41,6 @@ from repro.obs.run_report import (
 
 __all__ = [
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "Histogram",
     "Span",
     "RunReport",

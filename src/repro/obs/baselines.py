@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from repro.errors import ReproError
 from repro.obs.run_report import RunReport, flatten
 
 __all__ = [
@@ -208,11 +209,20 @@ def compare_reports(
 
 def load_report_dict(path: str) -> Dict[str, Any]:
     """Load a report document from ``path`` without schema enforcement
-    (the comparator reports schema drift as findings instead)."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    (the comparator reports schema drift as findings instead).
+
+    Raises :class:`~repro.errors.ReproError` naming ``path`` when the
+    file cannot be read, is not JSON, or is not a JSON object.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ReproError(f"cannot read report {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ReproError(f"{path}: not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ValueError(f"{path}: report must be a JSON object")
+        raise ReproError(f"{path}: report must be a JSON object")
     return doc
 
 

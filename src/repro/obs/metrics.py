@@ -11,9 +11,7 @@ selections, batch replays, fallback events) and phase timings
 Instrumentation follows a zero-overhead-when-disabled contract: every
 instrumented entry point takes ``metrics: Optional[MetricsRegistry] = None``
 and guards each hook with ``if metrics is not None`` — a disabled run pays
-one pointer comparison per instrumented call, nothing else. Callers that
-prefer to pass a registry unconditionally can use :data:`NULL_REGISTRY`,
-whose operations are no-ops.
+one pointer comparison per instrumented call, nothing else.
 
 The registry serializes to the ``metrics`` section of a
 :class:`~repro.obs.run_report.RunReport` via :meth:`MetricsRegistry.as_dict`.
@@ -27,8 +25,6 @@ from typing import Any, Dict, Optional
 __all__ = [
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "Span",
 ]
 
@@ -168,43 +164,3 @@ class MetricsRegistry:
             f"gauges={len(self.gauges)}, "
             f"histograms={len(self.histograms)}, spans={len(self.spans)})"
         )
-
-
-class _NullSpan:
-    """A context manager that does nothing, reused for every null span."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullRegistry(MetricsRegistry):
-    """A registry whose every operation is a no-op.
-
-    For callers that want to pass ``metrics`` unconditionally without a
-    per-call ``None`` guard. Always empty; :meth:`as_dict` reports empty
-    sections.
-    """
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
-        pass
-
-    def span(self, name: str) -> Span:  # type: ignore[override]
-        return _NULL_SPAN  # type: ignore[return-value]
-
-
-#: Shared no-op registry (see :class:`NullRegistry`).
-NULL_REGISTRY = NullRegistry()

@@ -51,6 +51,7 @@ from typing import List, Optional, Tuple
 from repro.arch.params import ChipParams
 from repro.arch.presets import XGENE
 from repro.blocking.cache_blocking import CacheBlocking
+from repro.errors import SimulationError
 from repro.kernels.kernel_spec import KernelSpec
 from repro.memory.batch import BatchTrace
 from repro.memory.cache import CODE_LOAD, CODE_PREFETCH, CODE_STORE
@@ -199,8 +200,12 @@ def gebp_traces(
     """The ``(warm, main, kernel_loads)`` streams one GEBP replay issues.
 
     Relocated to ``core``'s private address region; the underlying
-    base-0 compilation is shared across cores and sweep points.
+    base-0 compilation is shared across cores and sweep points. An
+    ``nc_slice`` below 1 raises :class:`~repro.errors.SimulationError`:
+    it would replay an empty main trace.
     """
+    if nc_slice is not None and nc_slice < 1:
+        raise SimulationError(f"nc_slice must be >= 1, got {nc_slice}")
     nc = nc_slice if nc_slice is not None else min(blocking.nc, 6 * spec.nr)
     warm, main, kernel_loads = _gebp_trace(
         spec.mr,

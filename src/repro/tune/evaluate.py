@@ -21,7 +21,7 @@ same plan is shared by every blocking neighborhood of the tile.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 import numpy as np
 
@@ -135,10 +135,7 @@ def _packed_operands(
     return packed_a, packed_b
 
 
-def timed_eval(
-    chip: ChipParams, doc: Dict[str, Any],
-    metrics: Optional[Any] = None,
-) -> Dict[str, Any]:
+def timed_eval(chip: ChipParams, doc: Dict[str, Any]) -> Dict[str, Any]:
     """Compiled timed run of one code-shape variant.
 
     ``doc`` fields: mr/nr/rotation/schedule, bodies (unrolled bodies per
@@ -163,7 +160,6 @@ def timed_eval(
     run = run_timed_gebp(
         kernel, packed_a, packed_b,
         chip=chip, hw_late=doc["hw_late"], engine="compiled",
-        metrics=metrics,
     )
     return {
         "feasible": True,

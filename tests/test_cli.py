@@ -1,8 +1,94 @@
 """Tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
+from repro.obs import RunReport, validate_report
+
+CASES_DIR = Path(__file__).parent / "cases"
+
+
+def _cheap_argv(tmp_path):
+    """A quick argv for each subcommand of the command table."""
+    batch = tmp_path / "batch.jsonl"
+    batch.write_text(
+        json.dumps({"kind": "simulate", "m": 64, "n": 64, "k": 64}) + "\n"
+    )
+    report = tmp_path / "blocks.json"
+    RunReport(command="blocks", stats={"blocking": {"kc": 512}}).write(
+        str(report)
+    )
+    return {
+        "blocks": [],
+        "kernel": ["--kc", "8"],
+        "simulate": ["--size", "256"],
+        "microbench": [],
+        "experiments": ["--out", str(tmp_path / "exhibits"),
+                        "--stop", "256"],
+        "pool": ["--threads", "2", "--size", "16", "--reps", "1"],
+        "cachesim": ["--kernel", "OpenBLAS-4x4", "--nc-slice", "4"],
+        "timed": ["--kc", "16"],
+        "sweep": ["--stop", "256"],
+        "verify": ["--replay", str(sorted(CASES_DIR.glob("*.json"))[0])],
+        "query": ["--batch", str(batch), "--cache-dir",
+                  str(tmp_path / "cache"), "--threads", "1"],
+        "serve": ["--warm", "mobile", "--cache-dir",
+                  str(tmp_path / "cache"), "--threads", "1"],
+        "tune": ["--smoke", "--cache-dir", "", "--max-tiles", "1",
+                 "--top-k", "1", "--radius", "0", "--bodies", "1"],
+        "asym": ["--smoke"],
+        "stencil": ["--height", "12", "--width", "64", "--iterations", "1"],
+        "conv": ["--cin", "1", "--height", "10", "--width", "10",
+                 "--filters", "4"],
+        "report": ["--diff", str(report), str(report)],
+    }
+
+
+@pytest.mark.parametrize("command", [c.name for c in COMMANDS])
+def test_every_command_writes_its_json_report(command, tmp_path, capsys):
+    argv = _cheap_argv(tmp_path).get(command)
+    if argv is None:
+        pytest.fail(f"no cheap argv for command table entry {command!r}")
+    out = tmp_path / "out.json"
+    assert main([command, *argv, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    if command == "report":
+        # report --diff --json writes its findings, not a RunReport.
+        assert doc["findings"] == [] and doc["checked"] > 0
+    else:
+        assert validate_report(doc) == []
+        assert doc["command"] == command
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def _bad_inputs():
+    return {
+        "sweep-step-0": ["sweep", "--step", "0"],
+        "experiments-step-0": ["experiments", "--out", "{tmp}/x",
+                               "--step", "0"],
+        "sweep-empty-range": ["sweep", "--stop", "100"],
+        "report-missing-file": ["report", "{tmp}/missing.json"],
+        "report-not-json": ["report", "{tmp}/not-json.txt"],
+        "report-not-object": ["report", "{tmp}/list.json"],
+        "report-diff-missing": ["report", "--diff", "{tmp}/a", "{tmp}/b"],
+        "cachesim-nc-slice-0": ["cachesim", "--nc-slice", "0"],
+        "tune-pool-0": ["tune", "--smoke", "--cache-dir", "",
+                        "--pool", "0"],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_bad_input_is_a_clean_error(case, tmp_path, capsys):
+    (tmp_path / "not-json.txt").write_text("not json\n")
+    (tmp_path / "list.json").write_text("[]\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in _bad_inputs()[case]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestCli:

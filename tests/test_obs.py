@@ -9,8 +9,6 @@ from repro.cli import main
 from repro.obs import (
     DEFAULT_TOLERANCE,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     RunReport,
     SCHEMA_VERSION,
     compare_reports,
@@ -61,18 +59,6 @@ class TestMetricsRegistry:
         assert m.as_dict() == {
             "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
         }
-
-    def test_null_registry_is_inert(self):
-        n = NullRegistry()
-        n.inc("a")
-        n.set_gauge("g", 1)
-        n.observe("h", 1)
-        with n.span("s"):
-            pass
-        assert n.as_dict() == {
-            "counters": {}, "gauges": {}, "histograms": {}, "spans": {},
-        }
-        assert isinstance(NULL_REGISTRY, NullRegistry)
 
 
 def _report(**overrides):
